@@ -15,16 +15,13 @@ from typing import Iterable, Sequence
 from repro.core.constants import NULL_ADDR
 from repro.core.errors import CorruptionError
 
-_ADDR = struct.Struct("<Q")
-
 
 def pack_addrs(addrs: Sequence[int], block_size: int) -> bytes:
     """Pack block addresses into one zero-padded block payload."""
     per_block = block_size // 8
     if len(addrs) > per_block:
         raise ValueError(f"{len(addrs)} addresses exceed block capacity {per_block}")
-    payload = b"".join(_ADDR.pack(a) for a in addrs)
-    return payload.ljust(block_size, b"\0")
+    return struct.pack(f"<{len(addrs)}Q", *addrs).ljust(block_size, b"\0")
 
 
 def unpack_addrs(payload: bytes, count: int) -> list[int]:

@@ -669,18 +669,18 @@ class Cleaner:
                     return False
                 fmap._load_l2()
                 fmap.l2_dirty = True
-                return True
-            if entry.offset == 0:
+            elif entry.offset == 0:
                 if fmap.inode.indirect != addr:
                     return False
                 fmap._load_l1()
                 fmap.l1_dirty = True
-                return True
-            child_idx = entry.offset - 1
-            if fmap._load_l2()[child_idx] != addr:
-                return False
-            fmap._load_child(child_idx)
-            fmap.dirty_children.add(child_idx)
+            else:
+                child_idx = entry.offset - 1
+                if fmap._load_l2()[child_idx] != addr:
+                    return False
+                fmap._load_child(child_idx)
+                fmap.dirty_children.add(child_idx)
+            fs._dirty_filemaps.add(entry.inum)
             return True
         if kind == BlockKind.INODE:
             revived = False

@@ -19,7 +19,15 @@ from repro.core.cache import BlockCache
 from repro.core.checkpoint import Checkpoint, read_latest_checkpoint, write_checkpoint
 from repro.core.cleaner import Cleaner
 from repro.core.config import DiskLayout, LFSConfig, compute_layout
-from repro.core.constants import NULL_ADDR, PENDING_ADDR, ROOT_INUM, BlockKind, DirOp, FileType
+from repro.core.constants import (
+    INODE_SIZE,
+    NULL_ADDR,
+    PENDING_ADDR,
+    ROOT_INUM,
+    BlockKind,
+    DirOp,
+    FileType,
+)
 from repro.core import directory as dirfmt
 from repro.core.dirlog import DirOpRecord, pack_records
 from repro.core.errors import (
@@ -123,7 +131,7 @@ class LFS:
             layout.num_segments, config.segment_bytes, config.seg_usage_entries_per_block
         )
         self.imap = InodeMap(config.max_inodes, config.imap_entries_per_block)
-        self.writer = LogWriter(disk, config, layout, self.usage)
+        self.writer = LogWriter(disk, config, layout, self.usage, self)
         self.cache = BlockCache(config.cache_blocks)
         self.cleaner = Cleaner(self)
         self.stats = LFSStats()
@@ -132,6 +140,10 @@ class LFS:
         self._inodes: dict[int, Inode] = {}
         self._dirty_inodes: set[int] = set()
         self._filemaps: dict[int, FileMap] = {}
+        # Inums whose cached FileMap may hold dirty indirect blocks: a
+        # superset of the maps with a dirty flag, so a flush visits only
+        # these. Members leave after a successful flush or with their map.
+        self._dirty_filemaps: set[int] = set()
         self._dir_states: dict[int, _DirState] = {}
         self._pending_dirops: list[DirOpRecord] = []
         self._dirop_addrs: list[int] = []
@@ -408,6 +420,7 @@ class LFS:
         self._inodes.clear()
         self._dirty_inodes.clear()
         self._filemaps.clear()
+        self._dirty_filemaps.clear()
         self._dir_states.clear()
         self._pending_dirops.clear()
         self._pending_trims.clear()
@@ -628,6 +641,7 @@ class LFS:
                 self.config.block_size,
                 self._read_log_block,
                 lambda i=inum: self._mark_inode_dirty(i),
+                lambda i=inum: self._dirty_filemaps.add(i),
             )
             self._filemaps[inum] = fmap
         return fmap
@@ -1055,13 +1069,12 @@ class LFS:
             self.usage.remove_live(self.layout.segment_of(addr), bs)
         old = self.imap.get(inum).addr
         if old not in (NULL_ADDR, PENDING_ADDR):
-            from repro.core.constants import INODE_SIZE
-
             self.usage.remove_live(self.layout.segment_of(old), INODE_SIZE)
         self.imap.free(inum)
         self.cache.drop_file(inum)
         self._inodes.pop(inum, None)
         self._filemaps.pop(inum, None)
+        self._dirty_filemaps.discard(inum)
         self._dir_states.pop(inum, None)
         self._dirty_inodes.discard(inum)
         # Staged byte ranges die with the file: the inum may be reused,
@@ -1125,6 +1138,8 @@ class LFS:
         directory-block guarantee), then data blocks, then indirect
         blocks (children before the double-indirect), then inode blocks,
         then — for checkpoints — inode-map and segment-usage blocks.
+        Only dirty state is visited: the cache's dirty blocks and the
+        ``_dirty_filemaps`` set, never every cached file.
         """
         items: list[LogItem] = []
         bs = self.config.block_size
@@ -1140,14 +1155,7 @@ class LFS:
         # -- directory operation log
         if self._pending_dirops:
             for payload in pack_records(self._pending_dirops, bs):
-                items.append(
-                    LogItem(
-                        kind=BlockKind.DIROP_LOG,
-                        mtime=now,
-                        get_payload=lambda p=payload: p,
-                        on_placed=self._place_dirop,
-                    )
-                )
+                items.append(LogItem(kind=BlockKind.DIROP_LOG, mtime=now, payload=payload))
             self._pending_dirops = []
 
         # -- data blocks
@@ -1163,14 +1171,16 @@ class LFS:
                     offset=fbn,
                     version=self.imap.version_of(inum),
                     mtime=entry.mtime,
-                    get_payload=lambda e=entry: e.payload,
-                    on_placed=lambda addr, i=inum, f=fbn: self._place_data(i, f, addr),
+                    payload=entry.payload,
                 )
             )
 
         # -- indirect blocks: children and single-indirects, then doubles
         double_items: list[LogItem] = []
-        for inum, fmap in sorted(self._filemaps.items()):
+        for inum in sorted(self._dirty_filemaps):
+            fmap = self._filemaps[inum]
+            if not fmap.dirty:
+                continue
             version = self.imap.version_of(inum)
             mtime = fmap.inode.mtime
             for child_idx in sorted(fmap.dirty_children):
@@ -1181,40 +1191,16 @@ class LFS:
                         offset=1 + child_idx,
                         version=version,
                         mtime=mtime,
-                        get_payload=lambda m=fmap, c=child_idx: m.pack_child(c),
-                        on_placed=lambda addr, i=inum, m=fmap, c=child_idx: (
-                            self._place_indirect(i, m.place_child(c, addr), addr)
-                        ),
                     )
                 )
             if fmap.l1_dirty:
                 items.append(
-                    LogItem(
-                        kind=BlockKind.INDIRECT,
-                        inum=inum,
-                        offset=0,
-                        version=version,
-                        mtime=mtime,
-                        get_payload=fmap.pack_l1,
-                        on_placed=lambda addr, i=inum, m=fmap: (
-                            self._place_indirect(i, m.place_l1(addr), addr)
-                        ),
-                    )
+                    LogItem(kind=BlockKind.INDIRECT, inum=inum, version=version, mtime=mtime)
                 )
             if fmap.l2_dirty or (fmap.dirty_children and fmap.inode.dindirect == NULL_ADDR):
                 fmap.l2_dirty = True
                 double_items.append(
-                    LogItem(
-                        kind=BlockKind.DINDIRECT,
-                        inum=inum,
-                        offset=0,
-                        version=version,
-                        mtime=mtime,
-                        get_payload=fmap.pack_l2,
-                        on_placed=lambda addr, i=inum, m=fmap: (
-                            self._place_indirect(i, m.place_l2(addr), addr)
-                        ),
-                    )
+                    LogItem(kind=BlockKind.DINDIRECT, inum=inum, version=version, mtime=mtime)
                 )
         items.extend(double_items)
 
@@ -1222,17 +1208,13 @@ class LFS:
         dirty_inums = sorted(self._dirty_inodes)
         per_block = inodes_per_block(bs)
         for start in range(0, len(dirty_inums), per_block):
-            group = dirty_inums[start : start + per_block]
+            group = tuple(dirty_inums[start : start + per_block])
             items.append(
                 LogItem(
                     kind=BlockKind.INODE,
                     inum=group[0],
-                    offset=0,
                     mtime=max(self._inodes[i].mtime for i in group),
-                    get_payload=lambda g=group: pack_inode_block(
-                        [self._inodes[i] for i in g], bs
-                    ),
-                    on_placed=lambda addr, g=group: self._place_inodes(g, addr),
+                    inums=group,
                 )
             )
         self._dirty_inodes.clear()
@@ -1250,82 +1232,81 @@ class LFS:
         up by the checkpoint's stabilization loop.
         """
         items: list[LogItem] = []
-        bs = self.config.block_size
         now = self.disk.clock.now
         for idx in self.imap.dirty_block_indexes():
             self.imap.clear_dirty(idx)
-            items.append(
-                LogItem(
-                    kind=BlockKind.INODE_MAP,
-                    offset=idx,
-                    mtime=now,
-                    get_payload=lambda i=idx: self.imap.pack_block(i, bs),
-                    on_placed=lambda addr, i=idx: self._place_map_block(
-                        self.imap.block_addrs, i, addr
-                    ),
-                )
-            )
+            items.append(LogItem(kind=BlockKind.INODE_MAP, offset=idx, mtime=now))
         for idx in self.usage.dirty_block_indexes():
             self.usage.clear_dirty(idx)
-            items.append(
-                LogItem(
-                    kind=BlockKind.SEG_USAGE,
-                    offset=idx,
-                    mtime=now,
-                    get_payload=lambda i=idx: self.usage.pack_block(i, bs),
-                    on_placed=lambda addr, i=idx: self._place_map_block(
-                        self.usage.block_addrs, i, addr
-                    ),
-                )
-            )
+            items.append(LogItem(kind=BlockKind.SEG_USAGE, offset=idx, mtime=now))
         return items
 
-    # ---- placement callbacks ----------------------------------------
+    # ---- log writer callbacks ----------------------------------------
 
-    def _place_dirop(self, addr: int) -> None:
-        self._dirop_addrs.append(addr)
-        self.usage.add_live(
-            self.layout.segment_of(addr), self.config.block_size, self.disk.clock.now
-        )
+    def place_item(self, item: LogItem, addr: int) -> None:
+        """Point the in-memory structures at ``item``'s new log address.
 
-    def _place_data(self, inum: int, fbn: int, addr: int) -> None:
-        fmap = self.filemap(inum)
-        old = fmap.set(fbn, addr)
+        Called by the log writer for every item, in log order, before any
+        deferred payload of the same partial write is packed; the block
+        that used to hold the item's contents (if any) loses its live
+        bytes in the usage table.
+        """
+        kind = item.kind
         bs = self.config.block_size
-        if old != NULL_ADDR:
-            self.usage.remove_live(self.layout.segment_of(old), bs)
-        # peek, not lookup: placement is internal traffic and must not
-        # count toward the application hit rate or reorder the LRU.
-        entry = self.cache.peek(inum, fbn)
-        mtime = entry.mtime if entry else self.disk.clock.now
-        self.usage.add_live(self.layout.segment_of(addr), bs, mtime)
-        self.cache.mark_clean(inum, fbn)
+        seg = self.layout.segment_of(addr)
+        usage = self.usage
+        if kind is BlockKind.DATA:
+            inum, fbn = item.inum, item.offset
+            old = self.filemap(inum).set(fbn, addr)
+            if old != NULL_ADDR:
+                usage.remove_live(self.layout.segment_of(old), bs)
+            # peek, not lookup: placement is internal traffic and must not
+            # count toward the application hit rate or reorder the LRU.
+            entry = self.cache.peek(inum, fbn)
+            usage.add_live(seg, bs, entry.mtime if entry else self.disk.clock.now)
+            self.cache.mark_clean(inum, fbn)
+        elif kind is BlockKind.INODE:
+            for inum in item.inums:
+                old = self.imap.get(inum).addr
+                if old not in (NULL_ADDR, PENDING_ADDR):
+                    usage.remove_live(self.layout.segment_of(old), INODE_SIZE)
+                self.imap.set_addr(inum, addr)
+                inode = self._inodes.get(inum)
+                usage.add_live(seg, INODE_SIZE, inode.mtime if inode else self.disk.clock.now)
+        elif kind is BlockKind.DIROP_LOG:
+            self._dirop_addrs.append(addr)
+            usage.add_live(seg, bs, self.disk.clock.now)
+        else:
+            if kind is BlockKind.INODE_MAP or kind is BlockKind.SEG_USAGE:
+                table = (self.imap if kind is BlockKind.INODE_MAP else usage).block_addrs
+                old = table[item.offset]
+                table[item.offset] = addr
+            else:
+                fmap = self._filemaps[item.inum]
+                if kind is BlockKind.DINDIRECT:
+                    old = fmap.place_l2(addr)
+                elif item.offset == 0:
+                    old = fmap.place_l1(addr)
+                else:
+                    old = fmap.place_child(item.offset - 1, addr)
+            if old != NULL_ADDR:
+                usage.remove_live(self.layout.segment_of(old), bs)
+            usage.add_live(seg, bs, self.disk.clock.now)
 
-    def _place_indirect(self, inum: int, old: int, addr: int) -> None:
+    def item_payload(self, item: LogItem) -> bytes:
+        """Pack a deferred payload, after its partial write is placed."""
+        kind = item.kind
         bs = self.config.block_size
-        if old != NULL_ADDR:
-            self.usage.remove_live(self.layout.segment_of(old), bs)
-        self.usage.add_live(self.layout.segment_of(addr), bs, self.disk.clock.now)
-
-    def _place_inodes(self, inums: list[int], addr: int) -> None:
-        from repro.core.constants import INODE_SIZE
-
-        for inum in inums:
-            old = self.imap.get(inum).addr
-            if old not in (NULL_ADDR, PENDING_ADDR):
-                self.usage.remove_live(self.layout.segment_of(old), INODE_SIZE)
-            self.imap.set_addr(inum, addr)
-            inode = self._inodes.get(inum)
-            mtime = inode.mtime if inode else self.disk.clock.now
-            self.usage.add_live(self.layout.segment_of(addr), INODE_SIZE, mtime)
-
-    def _place_map_block(self, addr_table: list[int], idx: int, addr: int) -> None:
-        old = addr_table[idx]
-        bs = self.config.block_size
-        if old != NULL_ADDR:
-            self.usage.remove_live(self.layout.segment_of(old), bs)
-        addr_table[idx] = addr
-        self.usage.add_live(self.layout.segment_of(addr), bs, self.disk.clock.now)
+        if kind is BlockKind.INODE:
+            return pack_inode_block([self._inodes[i] for i in item.inums], bs)
+        if kind is BlockKind.INDIRECT:
+            fmap = self._filemaps[item.inum]
+            return fmap.pack_l1() if item.offset == 0 else fmap.pack_child(item.offset - 1)
+        if kind is BlockKind.DINDIRECT:
+            return self._filemaps[item.inum].pack_l2()
+        if kind is BlockKind.INODE_MAP:
+            return self.imap.pack_block(item.offset, bs)
+        return self.usage.pack_block(item.offset, bs)
 
     # ------------------------------------------------------------------
 
@@ -1356,6 +1337,10 @@ class LFS:
             self.obs.emit(CACHE_FLUSH, dirty=dirty_before, items=len(items), cleaning=cleaning)
         with self._cause(cause or (CLEANING_WRITE if cleaning else DATA_WRITE)):
             writes = self.writer.append(items, cleaning=cleaning, barrier=barrier)
+        # Placement cleaned the visited maps. An append that raised never
+        # gets here, so maps whose blocks it did not place stay members.
+        filemaps = self._filemaps
+        self._dirty_filemaps = {i for i in self._dirty_filemaps if filemaps[i].dirty}
         self.stats.flushes += 1
         self._nvm_truncate_after_flush()
         if self.obs is not None:
@@ -1745,8 +1730,6 @@ class LFS:
                     data += bs
                 else:
                     indirect += bs
-        from repro.core.constants import INODE_SIZE
-
         imap_bytes = sum(1 for a in self.imap.block_addrs if a != NULL_ADDR) * bs
         usage_bytes = sum(1 for a in self.usage.block_addrs if a != NULL_ADDR) * bs
         return {

@@ -20,21 +20,30 @@ from repro.core.errors import InvalidOperationError
 from repro.core.inode import Inode, addrs_per_indirect
 
 
+def _no_owner() -> None:
+    pass
+
+
 class FileMap:
     """Block-address mapping for one file.
 
-    The map calls back into its owner through two hooks supplied at
+    The map calls back into its owner through hooks supplied at
     construction: ``read_block(addr) -> bytes`` to load an indirect block
-    from the log, and ``mark_inode_dirty()`` when a pointer stored in the
-    inode itself changes.
+    from the log, ``mark_inode_dirty()`` when a pointer stored in the
+    inode itself changes, and ``mark_map_dirty()`` whenever it sets one of
+    its own dirty flags (``l1_dirty``, ``l2_dirty``, ``dirty_children``),
+    so the owner can flush only the maps that have work.
     """
 
-    def __init__(self, inode: Inode, block_size: int, read_block, mark_inode_dirty) -> None:
+    def __init__(
+        self, inode: Inode, block_size: int, read_block, mark_inode_dirty, mark_map_dirty=None
+    ) -> None:
         self.inode = inode
         self.block_size = block_size
         self.per = addrs_per_indirect(block_size)
         self._read_block = read_block
         self._mark_inode_dirty = mark_inode_dirty
+        self._mark_map_dirty = mark_map_dirty or _no_owner
         self._l1: list[int] | None = None  # single-indirect contents
         self._l2: list[int] | None = None  # double-indirect contents
         self._children: dict[int, list[int]] = {}  # loaded L1s under L2
@@ -124,11 +133,13 @@ class FileMap:
             old = l1[slot]
             l1[slot] = addr
             self.l1_dirty = True
+            self._mark_map_dirty()
             return old
         child = self._load_child(child_idx)
         old = child[slot]
         child[slot] = addr
         self.dirty_children.add(child_idx)
+        self._mark_map_dirty()
         return old
 
     def ensure_structures(self, fbn: int) -> None:
@@ -142,14 +153,21 @@ class FileMap:
         if level == "single":
             self._load_l1()
             self.l1_dirty = True
+            self._mark_map_dirty()
         elif level == "double":
             self._load_l2()
             self._load_child(child_idx)
             self.dirty_children.add(child_idx)
             self.l2_dirty = True
+            self._mark_map_dirty()
 
     # ------------------------------------------------------------------
     # flush support
+
+    @property
+    def dirty(self) -> bool:
+        """True while any indirect block of the map awaits a flush."""
+        return self.l1_dirty or self.l2_dirty or bool(self.dirty_children)
 
     def pack_l1(self) -> bytes:
         """Serialize the single-indirect block."""
@@ -185,6 +203,7 @@ class FileMap:
         old = l2[child_idx]
         l2[child_idx] = addr
         self.l2_dirty = True
+        self._mark_map_dirty()
         self.dirty_children.discard(child_idx)
         return old
 
@@ -255,6 +274,7 @@ class FileMap:
                     freed.append(("data", l1[slot]))
                     l1[slot] = NULL_ADDR
                     self.l1_dirty = True
+                    self._mark_map_dirty()
             if first_fbn <= NUM_DIRECT and self.inode.indirect != NULL_ADDR:
                 freed.append(("indirect", self.inode.indirect))
                 self.inode.indirect = NULL_ADDR
@@ -282,11 +302,13 @@ class FileMap:
                         freed.append(("data", child[slot]))
                         child[slot] = NULL_ADDR
                         self.dirty_children.add(child_idx)
+                        self._mark_map_dirty()
                 if start == 0:
                     if l2[child_idx] != NULL_ADDR:
                         freed.append(("indirect", l2[child_idx]))
                         l2[child_idx] = NULL_ADDR
                         self.l2_dirty = True
+                        self._mark_map_dirty()
                     self._children.pop(child_idx, None)
                     self.dirty_children.discard(child_idx)
             if first_fbn <= first_double and self.inode.dindirect != NULL_ADDR:

@@ -200,6 +200,7 @@ def _replay_inode(fs, inode: Inode, addr: int, report: RecoveryReport) -> None:
     slot.version = inode.version
     fs._inodes[inode.inum] = inode
     fs._filemaps.pop(inode.inum, None)
+    fs._dirty_filemaps.discard(inode.inum)
     fs._dir_states.pop(inode.inum, None)
     # Drop any cached blocks (including dirty fix-up blocks written by
     # earlier directory-log replays): this inode instance was written

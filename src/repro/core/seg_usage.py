@@ -57,6 +57,9 @@ class SegmentUsageTable:
         self.entries_per_block = entries_per_block
         self.num_blocks = (num_segments + entries_per_block - 1) // entries_per_block
         self._segments = [SegmentUsage() for _ in range(num_segments)]
+        # Kept in step with every ``clean`` flip below, so the per-op
+        # low-water checks never rescan the table.
+        self._clean_count = num_segments
         self._dirty_blocks: set[int] = set()
         # Segments whose liveness/cleanliness changed since the cleaner's
         # victim heap last synced (everything, initially). Cheap to feed
@@ -97,7 +100,9 @@ class SegmentUsageTable:
         """Account newly written live bytes in a segment."""
         seg = self.get(seg_no)
         seg.live_bytes += nbytes
-        seg.clean = False
+        if seg.clean:
+            seg.clean = False
+            self._clean_count -= 1
         if when > seg.last_write:
             seg.last_write = when
         self._dirty_blocks.add(self.block_of(seg_no))
@@ -120,7 +125,9 @@ class SegmentUsageTable:
                 f"segment {seg_no} is quarantined and cannot rejoin the clean pool"
             )
         seg.live_bytes = 0
-        seg.clean = True
+        if not seg.clean:
+            seg.clean = True
+            self._clean_count += 1
         self._dirty_blocks.add(self.block_of(seg_no))
         self._score_dirty.add(seg_no)
         self._notify(seg_no)
@@ -132,7 +139,9 @@ class SegmentUsageTable:
             raise InvalidOperationError(
                 f"segment {seg_no} is quarantined and cannot take log traffic"
             )
-        seg.clean = False
+        if seg.clean:
+            seg.clean = False
+            self._clean_count -= 1
         self._dirty_blocks.add(self.block_of(seg_no))
         self._score_dirty.add(seg_no)
         self._notify(seg_no)
@@ -147,7 +156,9 @@ class SegmentUsageTable:
         """
         seg = self.get(seg_no)
         seg.live_bytes = 0
-        seg.clean = False
+        if seg.clean:
+            seg.clean = False
+            self._clean_count -= 1
         seg.quarantined = True
         self._dirty_blocks.add(self.block_of(seg_no))
         self._score_dirty.add(seg_no)
@@ -162,8 +173,8 @@ class SegmentUsageTable:
 
     @property
     def clean_count(self) -> int:
-        """How many segments are clean."""
-        return sum(1 for s in self._segments if s.clean)
+        """How many segments are clean (a counter, not a scan)."""
+        return self._clean_count
 
     def dirty_segments(self) -> list[int]:
         """Segments holding (possibly zero) live data from the log.
@@ -259,5 +270,7 @@ class SegmentUsageTable:
             seg.live_bytes = live
             seg.last_write = last
             seg.quarantined = bool(flags & _FLAG_QUARANTINED)
-            seg.clean = live == 0 and not seg.quarantined
+            clean = live == 0 and not seg.quarantined
+            self._clean_count += clean - seg.clean
+            seg.clean = clean
             self._notify(first + i)

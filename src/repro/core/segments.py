@@ -3,16 +3,16 @@
 ``LogWriter`` turns an ordered list of :class:`LogItem` into one or more
 partial-segment writes, each a single streamed disk request of
 ``[summary block][described blocks...]``. Items are placed (addresses
-assigned, pointer/accounting callbacks run) before their payloads are
-serialized, so blocks whose contents depend on the addresses of earlier
-blocks in the same flush — inodes after data, the inode map after inodes —
-come out consistent.
+assigned, the owner's pointers and accounting updated) before their
+deferred payloads are serialized, so blocks whose contents depend on the
+addresses of earlier blocks in the same flush — inodes after data, the
+inode map after inodes — come out consistent.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.blocks import checksum
 from repro.core.config import DiskLayout, LFSConfig
@@ -24,12 +24,13 @@ from repro.disk.device import Disk
 from repro.obs.events import LOG_SEGMENT_OPEN, LOG_WRITE
 
 
-@dataclass
+@dataclass(slots=True)
 class LogItem:
-    """One block queued for the log.
+    """One block queued for the log: a plain record, no callbacks.
 
     Attributes:
-        kind: what the block is (drives the summary entry).
+        kind: what the block is (drives the summary entry, and the owner's
+            placement and payload dispatch).
         inum: owning inode number, if any.
         offset: position within the owning structure (file block number,
             indirect index, map block index).
@@ -37,11 +38,10 @@ class LogItem:
         mtime: the block's modification time; the summary's
             ``youngest_mtime`` is the max over its items, and age-sorting
             orders by this.
-        get_payload: produces the final block payload; called only after
-            every item in the same partial write has been placed.
-        on_placed: called with the assigned disk address; updates
-            in-memory pointers (inode/indirect/map) and segment usage
-            accounting.
+        payload: the block's bytes when they are known up front (data and
+            directory-log blocks); ``None`` defers serialization to the
+            owner until every item in the same partial write is placed.
+        inums: the inodes an ``INODE`` block packs, in order.
     """
 
     kind: BlockKind
@@ -49,8 +49,8 @@ class LogItem:
     offset: int = 0
     version: int = 0
     mtime: float = 0.0
-    get_payload: Callable[[], bytes] = lambda: b""
-    on_placed: Callable[[int], None] = lambda addr: None
+    payload: bytes | None = None
+    inums: tuple[int, ...] = ()
 
 
 @dataclass
@@ -80,6 +80,10 @@ class LogWriter:
     are persisted by checkpoints. It takes clean segments from the usage
     table as the log advances; running dry raises :class:`NoSpaceError`
     (the file system is responsible for cleaning *before* flushing).
+
+    ``owner`` (the file system) receives each item's address through
+    ``owner.place_item(item, addr)`` and serializes deferred payloads
+    through ``owner.item_payload(item)``.
     """
 
     def __init__(
@@ -88,8 +92,10 @@ class LogWriter:
         config: LFSConfig,
         layout: DiskLayout,
         usage: SegmentUsageTable,
+        owner,
     ) -> None:
         self.disk = disk
+        self.owner = owner
         self.config = config
         self.layout = layout
         self.usage = usage
@@ -241,9 +247,9 @@ class LogWriter:
 
         Items are chunked into partial writes bounded by the space left in
         the current segment and by summary capacity. For each partial
-        write: place every item (assign addresses, run callbacks), then
-        serialize payloads, then issue one streamed disk write of
-        summary + payloads.
+        write: place every item (assign addresses, update the owner's
+        pointers and accounting), then serialize deferred payloads, then
+        issue one streamed disk write of summary + payloads.
 
         With ``hot_cold_segregation`` enabled, cleaning writes go through
         the *cold* cursor instead of the hot one: cleaner survivors and
@@ -253,6 +259,7 @@ class LogWriter:
         if not items:
             return 0
         cold = cleaning and self.config.hot_cold_segregation
+        owner = self.owner
         writes = 0
         pos = 0
         now = self.disk.clock.now
@@ -276,23 +283,20 @@ class LogWriter:
             pos += len(batch)
 
             start_addr = self.layout.segment_start(segment) + offset
-            entries = []
             youngest = 0.0
             for i, item in enumerate(batch):
-                addr = start_addr + 1 + i
-                item.on_placed(addr)
-                entries.append(
-                    SummaryEntry(
-                        kind=item.kind,
-                        inum=item.inum,
-                        offset=item.offset,
-                        version=item.version,
-                    )
-                )
+                owner.place_item(item, start_addr + 1 + i)
                 if item.mtime > youngest:
                     youngest = item.mtime
 
-            payloads = [item.get_payload() for item in batch]
+            payloads = [
+                owner.item_payload(item) if item.payload is None else item.payload
+                for item in batch
+            ]
+            entries = [
+                SummaryEntry(item.kind, item.inum, item.offset, item.version, zlib.crc32(p))
+                for item, p in zip(batch, payloads)
+            ]
             summary = SegmentSummary(
                 seq=self.seq,
                 write_time=now,

@@ -10,7 +10,7 @@ described payloads makes a torn partial write self-invalidating.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.blocks import checksum, require
 from repro.core.constants import (
@@ -106,7 +106,12 @@ class SegmentSummary:
     next_segment: int = 0xFFFFFFFFFFFFFFFF
 
     def pack(self, payloads: list[bytes], block_size: int) -> bytes:
-        """Serialize the summary, computing the CRC over ``payloads``."""
+        """Serialize the summary, computing the CRC over ``payloads``.
+
+        Entries are written as given: the log writer builds each one with
+        its payload's ``block_crc`` already set (an entry left at zero is
+        accepted unchecked by every reader).
+        """
         if len(payloads) != len(self.entries):
             raise InvalidOperationError(
                 f"{len(self.entries)} entries describe {len(payloads)} payloads"
@@ -117,10 +122,6 @@ class SegmentSummary:
                 f"{summary_capacity(block_size)}"
             )
         self.crc = checksum(payloads)
-        self.entries = [
-            replace(e, block_crc=checksum([p]))
-            for e, p in zip(self.entries, payloads)
-        ]
         body = b"".join(e.pack() for e in self.entries)
 
         def header(self_crc: int) -> bytes:

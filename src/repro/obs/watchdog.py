@@ -18,6 +18,10 @@ the invariant and carrying the offending event):
 - **ledger-mirrors-usage** — on segment-lifecycle events, the ledger's
   live-byte mirror equals ``SegmentUsageTable.total_live_bytes()``
   exactly, and per-segment on every ``log.write``;
+- **clean-count-matches-recount** — on segment-lifecycle events, the
+  usage table's kept clean-segment counter equals a full recount of the
+  segments flagged clean (the counter replaces a per-operation scan, so
+  a missed update would silently skew cleaning thresholds);
 - **cleaner-conservation** — every live block the cleaner identified
   was rewritten, rescued, or declared lost: ``live_blocks_seen ==
   live_blocks_moved + blocks_rescued + blocks_lost`` at every
@@ -170,6 +174,7 @@ class Watchdog:
             self._check_nvm_truncate(event)
         if kind in _LIFECYCLE_KINDS:
             self._check_ledger_totals(event)
+            self._check_clean_count(event)
             self._check_cleaner_conservation(event)
             self._check_erase_conservation(event)
 
@@ -264,6 +269,20 @@ class Watchdog:
                 "ledger-mirrors-usage",
                 f"ledger mirrors {mirrored} total live bytes, usage table "
                 f"has {actual}",
+                event,
+            )
+
+    def _check_clean_count(self, event: Event) -> None:
+        if self._fs is None or not hasattr(self._fs, "usage"):
+            return
+        self.checks_run += 1
+        usage = self._fs.usage
+        recount = sum(s.clean for s in usage._segments)
+        if usage.clean_count != recount:
+            raise InvariantViolation(
+                "clean-count-matches-recount",
+                f"usage table counts {usage.clean_count} clean segments but "
+                f"{recount} are flagged clean",
                 event,
             )
 

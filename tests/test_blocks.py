@@ -1,5 +1,7 @@
 """Tests for low-level serialization helpers."""
 
+import struct
+
 import pytest
 
 from repro.core.blocks import (
@@ -18,6 +20,12 @@ class TestAddrPacking:
         addrs = [1, 2, 3, 0xFFFFFFFFFFFF]
         payload = pack_addrs(addrs, 4096)
         assert unpack_addrs(payload, 4) == addrs
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 512])
+    def test_bytes_match_per_address_packing(self, count):
+        addrs = [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(count)]
+        reference = b"".join(struct.pack("<Q", a) for a in addrs).ljust(4096, b"\0")
+        assert pack_addrs(addrs, 4096) == reference
 
     def test_payload_is_block_sized(self):
         assert len(pack_addrs([1], 4096)) == 4096

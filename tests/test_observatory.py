@@ -315,6 +315,14 @@ class TestWatchdog:
             fs.checkpoint()
         assert exc_info.value.invariant == "cleaner-conservation"
 
+    def test_fires_on_clean_count_drift(self):
+        obs, _, _, _, fs = observed_fs()
+        fs.write_file("/f", b"x" * 9000)
+        fs.usage._clean_count += 1  # a clean flip the counter missed
+        with pytest.raises(InvariantViolation) as exc_info:
+            fs.checkpoint()
+        assert exc_info.value.invariant == "clean-count-matches-recount"
+
     def test_violation_is_an_assertion_error(self):
         assert issubclass(InvariantViolation, AssertionError)
         err = InvariantViolation("some-invariant", "message")

@@ -1,5 +1,7 @@
 """Tests for the log writer (partial-segment writes, threading, reserve)."""
 
+import zlib
+
 import pytest
 
 from repro.core.config import LFSConfig, compute_layout
@@ -10,6 +12,21 @@ from repro.core.segments import LogItem, LogWriter
 from repro.core.summary import SegmentSummary, summary_capacity
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
+
+
+class Owner:
+    """Stands in for the file system: records each placement and packs
+    a deferred payload naming where the previous item landed (as an
+    inode block names its data blocks)."""
+
+    def __init__(self):
+        self.placed = []  # (inum, addr) in placement order
+
+    def place_item(self, item, addr):
+        self.placed.append((item.inum, addr))
+
+    def item_payload(self, item):
+        return str(self.placed[-2][1]).encode().ljust(4096, b"\0")
 
 
 @pytest.fixture
@@ -24,30 +41,19 @@ def env():
     disk = Disk(DiskGeometry.wren4(num_blocks=2048))
     layout = compute_layout(cfg, 2048)
     usage = SegmentUsageTable(layout.num_segments, cfg.segment_bytes, cfg.seg_usage_entries_per_block)
-    writer = LogWriter(disk, cfg, layout, usage)
+    writer = LogWriter(disk, cfg, layout, usage, Owner())
     return cfg, disk, layout, usage, writer
 
 
 def items(n, kind=BlockKind.DATA, payload=b"p"):
-    placed = []
-    out = [
-        LogItem(
-            kind=kind,
-            inum=i + 1,
-            offset=0,
-            get_payload=lambda p=payload: p * 4096,
-            on_placed=lambda addr, i=i: placed.append((i, addr)),
-        )
-        for i in range(n)
-    ]
-    return out, placed
+    return [LogItem(kind=kind, inum=i + 1, payload=payload * 4096) for i in range(n)]
 
 
 class TestAppend:
     def test_single_write_layout(self, env):
         cfg, disk, layout, usage, writer = env
-        its, placed = items(3)
-        writes = writer.append(its)
+        writes = writer.append(items(3))
+        placed = writer.owner.placed
         assert writes == 1
         # summary at segment start, items after it
         seg_start = layout.segment_start(writer.current_segment)
@@ -56,36 +62,38 @@ class TestAppend:
         assert len(summary.entries) == 3
         assert summary.verify([disk.peek(seg_start + i) for i in (1, 2, 3)])
 
-    def test_on_placed_runs_before_payload(self, env):
-        """Item payloads may depend on where earlier items landed."""
+    def test_entries_carry_block_crcs(self, env):
         cfg, disk, layout, usage, writer = env
-        seen = {}
+        writer.append(items(2) + [LogItem(kind=BlockKind.INODE, inum=9)])
+        seg_start = layout.segment_start(writer.current_segment)
+        summary = SegmentSummary.unpack(disk.peek(seg_start), cfg.block_size)
+        for i, entry in enumerate(summary.entries):
+            crc = zlib.crc32(disk.peek(seg_start + 1 + i))
+            assert entry.block_crc == crc == writer.block_crcs[seg_start + 1 + i]
 
-        def place_a(addr):
-            seen["a"] = addr
-
-        def payload_b():
-            return str(seen["a"]).encode().ljust(4096, b"\0")
-
-        a = LogItem(kind=BlockKind.DATA, inum=1, get_payload=lambda: b"A" * 4096, on_placed=place_a)
-        b = LogItem(kind=BlockKind.INODE, inum=2, get_payload=payload_b)
+    def test_on_placed_runs_before_payload(self, env):
+        """Deferred payloads may depend on where earlier items landed."""
+        cfg, disk, layout, usage, writer = env
+        a = LogItem(kind=BlockKind.DATA, inum=1, payload=b"A" * 4096)
+        b = LogItem(kind=BlockKind.INODE, inum=2)  # payload packed by the owner
         writer.append([a, b])
         seg_start = layout.segment_start(writer.current_segment)
-        assert disk.peek(seg_start + 2).rstrip(b"\0") == str(seen["a"]).encode()
+        a_addr = writer.owner.placed[0][1]
+        assert disk.peek(seg_start + 2).rstrip(b"\0") == str(a_addr).encode()
 
     def test_spans_segments(self, env):
         cfg, disk, layout, usage, writer = env
-        its, placed = items(20)  # > 7 usable blocks per segment
-        writer.append(its)
+        writer.append(items(20))  # > 7 usable blocks per segment
+        placed = writer.owner.placed
         segs = {layout.segment_of(addr) for _, addr in placed}
         assert len(segs) >= 3
         assert len(placed) == 20
 
     def test_sequence_numbers_increment(self, env):
         cfg, disk, layout, usage, writer = env
-        writer.append(items(2)[0])
+        writer.append(items(2))
         s1 = writer.seq
-        writer.append(items(2)[0])
+        writer.append(items(2))
         assert writer.seq == s1 + 1
 
     def test_empty_append_is_noop(self, env):
@@ -95,37 +103,37 @@ class TestAppend:
 
     def test_stats_by_kind(self, env):
         cfg, disk, layout, usage, writer = env
-        writer.append(items(2, kind=BlockKind.DATA)[0])
-        writer.append(items(1, kind=BlockKind.INODE)[0])
+        writer.append(items(2, kind=BlockKind.DATA))
+        writer.append(items(1, kind=BlockKind.INODE))
         assert writer.stats.blocks_by_kind[BlockKind.DATA] == 2
         assert writer.stats.blocks_by_kind[BlockKind.INODE] == 1
         assert writer.stats.blocks_by_kind[BlockKind.SUMMARY] == 2
 
     def test_cleaning_flag_counts(self, env):
         cfg, disk, layout, usage, writer = env
-        writer.append(items(2)[0], cleaning=True)
+        writer.append(items(2), cleaning=True)
         assert writer.stats.cleaner_blocks == 3  # 2 items + summary
 
 
 class TestThreading:
     def test_summary_records_next_segment(self, env):
         cfg, disk, layout, usage, writer = env
-        writer.append(items(1)[0])
+        writer.append(items(1))
         seg_start = layout.segment_start(writer.current_segment)
         summary = SegmentSummary.unpack(disk.peek(seg_start), cfg.block_size)
         assert summary.next_segment == writer.next_segment
 
     def test_next_segment_reserved_and_in_use(self, env):
         cfg, disk, layout, usage, writer = env
-        writer.append(items(1)[0])
+        writer.append(items(1))
         assert writer.next_segment is not None
         assert not usage.get(writer.next_segment).clean
 
     def test_log_advances_into_reserved_next(self, env):
         cfg, disk, layout, usage, writer = env
-        writer.append(items(1)[0])
+        writer.append(items(1))
         promised = writer.next_segment
-        writer.append(items(10)[0])  # forces an advance
+        writer.append(items(10))  # forces an advance
         assert writer.current_segment == promised or promised is None
 
     def test_restore_cursor(self, env):
@@ -146,14 +154,14 @@ class TestReserve:
         for seg in range(layout.num_segments - cfg.reserved_segments - 1):
             usage.mark_in_use(seg)
         with pytest.raises(NoSpaceError, match="reserve"):
-            writer.append(items(40)[0])
+            writer.append(items(40))
 
     def test_exempt_writer_uses_reserve(self, env):
         cfg, disk, layout, usage, writer = env
         for seg in range(layout.num_segments - cfg.reserved_segments - 1):
             usage.mark_in_use(seg)
         writer.exempt = True
-        writer.append(items(10)[0])  # must not raise
+        writer.append(items(10))  # must not raise
 
     def test_truly_full_raises_even_exempt(self, env):
         cfg, disk, layout, usage, writer = env
@@ -161,7 +169,7 @@ class TestReserve:
             usage.mark_in_use(seg)
         writer.exempt = True
         with pytest.raises(NoSpaceError):
-            writer.append(items(30)[0])
+            writer.append(items(30))
 
 
 class TestBlocksNeeded:
