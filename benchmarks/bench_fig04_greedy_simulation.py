@@ -8,7 +8,7 @@ grouping make the greedy policy *worse*, not better, at real utilizations.
 from conftest import record_bench, run_once_timed, save_result
 
 from repro.analysis.figures import fig04_greedy_simulation
-from repro.simulator.sweep import resolve_engine, resolve_workers
+from repro.simulator.sweep import resolve_workers
 from repro.simulator.writecost import lfs_write_cost
 
 UTILS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9)
@@ -24,7 +24,7 @@ def test_fig04_greedy_simulation(benchmark):
         "fig04_greedy_simulation",
         wall_seconds=wall,
         workers=workers,
-        engine=resolve_engine("auto"),
+        engine="vectorized",
         steps=result.sim_steps,
         write_costs={name: list(curve) for name, curve in result.curves.items()},
     )

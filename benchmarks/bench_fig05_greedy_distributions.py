@@ -9,7 +9,7 @@ utilization than under uniform access.
 from conftest import record_bench, run_once_timed, save_result
 
 from repro.analysis.figures import fig05_greedy_distributions
-from repro.simulator.sweep import resolve_engine, resolve_workers
+from repro.simulator.sweep import resolve_workers
 
 
 def test_fig05_greedy_distributions(benchmark):
@@ -22,7 +22,7 @@ def test_fig05_greedy_distributions(benchmark):
         "fig05_greedy_distributions",
         wall_seconds=wall,
         workers=workers,
-        engine=resolve_engine("auto"),
+        engine="vectorized",
         steps=result.sim_steps,
     )
 

@@ -21,12 +21,12 @@ Three claims are checked and recorded here:
    skip recorded in the bench JSON instead of a junk ratio.
 
 3. Incremental (lazy-heap) victim selection produces results identical
-   to the legacy full-scan/full-sort engine, and is not slower.
+   to the legacy full-scan/full-sort selection (the test oracle in
+   ``tests/oracles.py``), and is not slower.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 
@@ -42,6 +42,7 @@ from repro.simulator.sweep import (
     result_digest,
     run_sweep,
 )
+from tests.oracles import legacy_simulator
 
 UTILS = (0.4, 0.6, 0.75, 0.85)
 POLICIES = (SelectionPolicy.GREEDY, SelectionPolicy.COST_BENEFIT)
@@ -58,7 +59,7 @@ TARGET_SPEEDUP = 10.0
 ASSERT_SPEEDUP = 2.5
 
 
-def _points(incremental: bool = True) -> list[SweepPoint]:
+def _points() -> list[SweepPoint]:
     points = []
     for util in UTILS:
         for selection in POLICIES:
@@ -73,7 +74,6 @@ def _points(incremental: bool = True) -> list[SweepPoint]:
                     measure_factor=2,
                     max_windows=8,
                     seed=derive_point_seed(42, util, selection.value, pattern),
-                    incremental=incremental,
                 )
                 points.append(SweepPoint(cfg, pattern))
     return points
@@ -170,7 +170,7 @@ def test_sweep_engine_speedup(benchmark):
         )
 
 
-def _big_disk_points(incremental: bool) -> list[SweepPoint]:
+def _big_disk_points() -> list[SweepPoint]:
     # Selection cost scales with segment count, so the heap's advantage
     # shows at large S; these points use the same total block budget as
     # the paper's sweeps but spread over 4x as many segments.
@@ -187,34 +187,31 @@ def _big_disk_points(incremental: bool) -> list[SweepPoint]:
                 measure_factor=2,
                 max_windows=6,
                 seed=derive_point_seed(42, "big", util, pattern),
-                incremental=incremental,
             )
             points.append(SweepPoint(cfg, pattern))
     return points
 
 
 def test_incremental_selection_speedup(benchmark):
-    def run_engine(incremental: bool):
+    def run_engine(legacy: bool):
         results = []
         t0 = time.perf_counter()
-        for point in _big_disk_points(incremental=incremental):
-            results.append(Simulator(point.config, make_pattern(point.pattern)).run())
+        for point in _big_disk_points():
+            sim = Simulator(point.config, make_pattern(point.pattern))
+            if legacy:
+                legacy_simulator(sim)
+            results.append(sim.run())
         return results, time.perf_counter() - t0
 
     def measure():
-        legacy, t_legacy = run_engine(False)
-        fast, t_fast = run_engine(True)
+        legacy, t_legacy = run_engine(True)
+        fast, t_fast = run_engine(False)
         return legacy, t_legacy, fast, t_fast
 
     legacy, t_legacy, fast, t_fast = run_once(benchmark, measure)
 
     # acceptance: the lazy heap changes nothing but the wall clock
-    # (results differ only in the config's own `incremental` flag)
-    normalized = [
-        dataclasses.replace(r, config=dataclasses.replace(r.config, incremental=False))
-        for r in fast
-    ]
-    assert normalized == legacy
+    assert fast == legacy
 
     ratio = t_legacy / t_fast if t_fast > 0 else float("inf")
     steps = sum(r.total_steps for r in fast)

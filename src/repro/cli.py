@@ -39,7 +39,6 @@ from repro.simulator.sweep import (
     SweepPoint,
     derive_point_seed,
     record_bench,
-    resolve_engine,
     resolve_workers,
     result_digest,
     run_sweep,
@@ -363,7 +362,7 @@ def _sweep_points(args: argparse.Namespace) -> tuple[list[SweepPoint], list[tupl
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     points, labels = _sweep_points(args)
-    engine = resolve_engine(args.engine)
+    engine = args.engine
     workers = resolve_workers(args.workers, len(points))
     t0 = time.perf_counter()
     results = run_sweep(points, workers=workers, engine=engine)
@@ -415,7 +414,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import pstats
 
     points, _ = _sweep_points(args)
-    engine = resolve_engine(args.engine)
+    engine = args.engine
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
@@ -946,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure-factor", type=float, default=4.0)
         p.add_argument("--max-windows", type=int, default=25)
         p.add_argument("--seed", type=int, default=42, help="base seed; per-point seeds derive from it")
-        p.add_argument("--engine", default="auto", choices=ENGINES, help="simulator engine (auto = vectorized when numpy is available)")
+        p.add_argument("--engine", default="vectorized", choices=ENGINES, help="simulator engine (reference = the pure-Python oracle)")
 
     p = sub.add_parser(
         "sweep",

@@ -12,7 +12,6 @@ import struct
 import zlib
 from typing import Iterable, Sequence
 
-from repro.core.constants import NULL_ADDR
 from repro.core.errors import CorruptionError
 
 
@@ -74,8 +73,3 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`CorruptionError` with ``message`` unless ``condition``."""
     if not condition:
         raise CorruptionError(message)
-
-
-def is_null(addr: int) -> bool:
-    """True if ``addr`` is the null sentinel."""
-    return addr == NULL_ADDR

@@ -120,9 +120,8 @@ class Cleaner:
         costs no I/O at all (Section 3.4's u = 0 case), which is why the
         production systems in Table 2 show most cleaned segments empty.
 
-        Victim choice is bit-identical to
-        :meth:`select_segments_reference` (the legacy full-sort path,
-        kept as the oracle): empties sit at score zero, so the heap
+        Victim choice is bit-identical to the full-sort oracle in
+        ``tests/oracles.py``: empties sit at score zero, so the heap
         surfaces them first; under greedy, heap order *is* utilization
         order; under cost-benefit, whose age term moves with the clock
         and cannot be cached, a top-``count`` partial selection replaces
@@ -143,22 +142,6 @@ class Cleaner:
             self._candidates(), count, key=lambda s: -self._benefit_cost(s, now)
         )
 
-    def select_segments_reference(self, count: int) -> list[int]:
-        """Reference oracle: the original full-scan, full-sort selection."""
-        fs = self.fs
-        candidates = self._candidates()
-        if not candidates:
-            return []
-        empty = [s for s in candidates if fs.usage.get(s).live_bytes == 0]
-        if empty:
-            return empty[:count]
-        now = fs.disk.clock.now
-        if fs.config.cleaning_policy == CleaningPolicy.GREEDY:
-            candidates.sort(key=lambda s: fs.usage.utilization(s))
-        else:
-            candidates.sort(key=lambda s: -self._benefit_cost(s, now))
-        return candidates[:count]
-
     def _benefit_cost(self, seg_no: int, now: float) -> float:
         """The paper's cost-benefit ratio: free space * age / cost.
 
@@ -167,8 +150,8 @@ class Cleaner:
         *low*-wear erase blocks (cleaning a segment soon re-erases its
         erase blocks, so preferring cold-wear victims spreads erases).
         The factor lives here — not in the heap path — so
-        :meth:`select_segments` and :meth:`select_segments_reference`
-        stay bit-identical to each other under every configuration.
+        :meth:`select_segments` and the full-sort test oracle stay
+        bit-identical to each other under every configuration.
         """
         u = self.fs.usage.utilization(seg_no)
         age = max(0.0, now - self.fs.usage.get(seg_no).last_write)

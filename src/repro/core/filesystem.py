@@ -12,7 +12,7 @@ free space management is entirely segment-based, as in the paper.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.blocks import checksum
 from repro.core.cache import BlockCache
@@ -260,28 +260,11 @@ class LFS:
         """
         sb = Superblock.from_bytes(disk.read_block(0))
         runtime = config if config is not None else LFSConfig()
-        merged = LFSConfig(
+        merged = replace(
+            runtime,
             block_size=sb.block_size,
             segment_bytes=sb.segment_bytes,
             max_inodes=sb.max_inodes,
-            cleaning_policy=runtime.cleaning_policy,
-            age_sort=runtime.age_sort,
-            clean_low_water=runtime.clean_low_water,
-            clean_high_water=runtime.clean_high_water,
-            segments_per_pass=runtime.segments_per_pass,
-            checkpoint_interval=runtime.checkpoint_interval,
-            write_buffer_blocks=runtime.write_buffer_blocks,
-            reserved_segments=runtime.reserved_segments,
-            cache_blocks=runtime.cache_blocks,
-            checkpoint_data_blocks=runtime.checkpoint_data_blocks,
-            selective_read_utilization=runtime.selective_read_utilization,
-            battery_backed_buffer=runtime.battery_backed_buffer,
-            media_error_budget=runtime.media_error_budget,
-            hot_cold_segregation=runtime.hot_cold_segregation,
-            wear_leveling=runtime.wear_leveling,
-            nvram_staging=runtime.nvram_staging,
-            nvram_destage_bytes=runtime.nvram_destage_bytes,
-            sync_flush_barrier=runtime.sync_flush_barrier,
         )
         align = getattr(disk.geometry, "erase_block_blocks", 1) or 1
         layout = compute_layout(merged, disk.geometry.num_blocks, align=align)

@@ -55,10 +55,6 @@ class FFSLayout:
         """First data block of a group."""
         return self.group_start(group) + self.itab_blocks
 
-    def group_end(self, group: int) -> int:
-        """One past the last block of a group."""
-        return self.group_start(group) + self.group_blocks
-
     def group_for_inode(self, inum: int) -> int:
         """The group holding an inode (and preferring its data)."""
         return inum % self.num_groups

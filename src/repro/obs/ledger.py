@@ -278,18 +278,6 @@ class SegmentLedger:
         """Table 2's cleaning stats via the shared derive arithmetic."""
         return cleaning_summary(self.cleaned_utilizations)
 
-    def tenant_blocks(self) -> dict[str, int]:
-        """Blocks written per tenant across every life (open and closed).
-
-        The server report's "who filled the log" view: which tenants'
-        data the cleaner will later have to move out of each segment.
-        """
-        totals: dict[str, int] = {}
-        for life in list(self.lives.values()) + self.history:
-            for tenant, blocks in life.blocks_by_tenant.items():
-                totals[tenant] = totals.get(tenant, 0) + blocks
-        return totals
-
     def death_causes(self) -> dict[str, int]:
         causes: dict[str, int] = {}
         for life in self.history:

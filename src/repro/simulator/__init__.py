@@ -17,7 +17,6 @@ from repro.simulator.sweep import (
     make_pattern,
     parallel_map,
     record_bench,
-    resolve_engine,
     result_digest,
     run_sweep,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "make_pattern",
     "parallel_map",
     "record_bench",
-    "resolve_engine",
     "result_digest",
     "run_sweep",
 ]

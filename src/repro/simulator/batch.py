@@ -39,14 +39,11 @@ sweep would ultimately do.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.simulator.fast import _MAX_BATCH, FastSimulator
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.writecost import measured_write_cost
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY in both states
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 
 class _Run:
@@ -65,8 +62,6 @@ class _Fleet:
     """A congruent group of simulations advancing in lockstep."""
 
     def __init__(self, pairs: list) -> None:
-        if np is None:  # pragma: no cover
-            raise RuntimeError("fused sweeps require numpy (the 'perf' extra)")
         self.sims = sims = [FastSimulator(cfg, pat) for cfg, pat in pairs]
         S = sims[0]._S
         B = sims[0]._B
@@ -677,8 +672,6 @@ def run_fleet(pairs: list) -> list:
     disk geometry (the fused kernels require congruent ``num_segments``
     × ``blocks_per_segment``); singleton groups run solo.
     """
-    if np is None:  # pragma: no cover
-        raise RuntimeError("fused sweeps require numpy (the 'perf' extra)")
     if not pairs:
         return []
     groups: dict = {}

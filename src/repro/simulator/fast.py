@@ -29,38 +29,27 @@ Why it is fast:
   and ``file_slot[f] == i``. Enumerating a victim's live files is one
   gather + compare, and the resulting order is log order — the same
   order the reference's insertion-ordered dicts iterate in.
-
-Use :func:`make_simulator` to pick an engine; without numpy installed it
-silently falls back to the reference implementation.
 """
 
 from __future__ import annotations
 
-from repro.simulator.model import SimConfig, Simulator, SimResult
+import numpy as np
+
+from repro.simulator.fastrand import make_sampler
+from repro.simulator.model import SimConfig, SimResult
 from repro.simulator.patterns import AccessPattern, UniformPattern
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.writecost import measured_write_cost
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY in both states
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-from repro.simulator.fastrand import HAVE_NUMPY, make_sampler
-
-#: Engines accepted by :func:`make_simulator`.
-ENGINES = ("auto", "fast", "reference")
-
 # largest single vectorized batch; bounds scratch-array sizes
 _MAX_BATCH = 1 << 16
 
-if np is not None:
-    # the batched write path scatters whole batches unfiltered and relies
-    # on fancy assignment being last-write-wins for duplicate indices
-    _probe = np.zeros(2, dtype=np.int64)
-    _probe[np.array([0, 0])] = np.array([1, 2])
-    assert int(_probe[0]) == 2, "numpy fancy assignment is not last-write-wins"
-    del _probe
+# the batched write path scatters whole batches unfiltered and relies
+# on fancy assignment being last-write-wins for duplicate indices
+_probe = np.zeros(2, dtype=np.int64)
+_probe[np.array([0, 0])] = np.array([1, 2])
+assert int(_probe[0]) == 2, "numpy fancy assignment is not last-write-wins"
+del _probe
 
 
 class FastSimulator:
@@ -72,11 +61,6 @@ class FastSimulator:
     """
 
     def __init__(self, config: SimConfig, pattern: AccessPattern | None = None) -> None:
-        if np is None:  # pragma: no cover
-            raise RuntimeError(
-                "FastSimulator requires numpy; install the 'perf' extra "
-                "or use the reference Simulator"
-            )
         self.config = config
         self.pattern = pattern if pattern is not None else UniformPattern()
         self._sampler = make_sampler(self.pattern, config.num_files, config.seed)
@@ -841,23 +825,3 @@ class FastSimulator:
             utilization_histogram=hist,
         )
 
-
-def make_simulator(
-    config: SimConfig,
-    pattern: AccessPattern | None = None,
-    engine: str = "auto",
-):
-    """Build a simulator for ``config`` under the requested engine.
-
-    ``auto`` picks the vectorized engine when numpy is importable and the
-    reference engine otherwise — results are identical either way.
-    ``fast`` requires numpy; ``reference`` always uses the pure-Python
-    oracle.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "fast" and not HAVE_NUMPY:
-        raise RuntimeError("engine 'fast' requires numpy (the 'perf' extra)")
-    if engine == "reference" or not HAVE_NUMPY:
-        return Simulator(config, pattern)
-    return FastSimulator(config, pattern)

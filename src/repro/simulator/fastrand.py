@@ -41,12 +41,7 @@ from __future__ import annotations
 
 import random
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY in both states
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 _N = 624
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, the constant random() uses
@@ -65,8 +60,6 @@ class MTStream:
     """
 
     def __init__(self, seed: int) -> None:
-        if np is None:  # pragma: no cover
-            raise RuntimeError("MTStream requires numpy")
         version, internal, _gauss = random.Random(seed).getstate()
         if version != 3:  # pragma: no cover - stable since Python 2.6
             raise RuntimeError(f"unsupported random.Random state version {version}")

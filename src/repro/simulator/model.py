@@ -22,7 +22,6 @@ from repro.simulator.policies import (
     GroupingPolicy,
     SelectionPolicy,
     cost_benefit_key,
-    rank,
 )
 from repro.simulator.writecost import measured_write_cost
 from repro.victims import LazyVictimHeap, partial_sort
@@ -61,11 +60,6 @@ class SimConfig:
         max_windows: hard cap on measurement windows. Hot-and-cold runs
             need many windows: the cold-segment free-space hoarding that
             drives Figure 5 develops over several cold-file lifetimes.
-        incremental: use the incremental victim-selection engine (a
-            lazy-invalidation heap for greedy, top-k partial selection
-            for cost-benefit). Victim choice is bit-identical to the
-            legacy full-scan/full-sort path, which remains available as
-            a reference oracle with ``incremental=False``.
     """
 
     num_segments: int = 100
@@ -81,7 +75,6 @@ class SimConfig:
     stable_tol: float = 0.04
     stable_windows: int = 2
     max_windows: int = 40
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.num_segments < 4 or self.blocks_per_segment < 1:
@@ -276,36 +269,17 @@ class Simulator:
                 update(seg, live[seg])
         self._score_dirty.clear()
 
-    def _legacy_victims(self, count: int) -> list[int]:
-        """Reference oracle: the original full-scan, full-sort selection."""
-        candidates = self._candidates()
-        if not candidates:
-            return []
-        B = self.config.blocks_per_segment
-        ranked = rank(
-            self.config.selection,
-            candidates,
-            self,
-            float(self.step_no),
-            B,
-        )
-        # A fully live segment yields nothing: cleaning it is pure
-        # cost (benefit is zero under both policies), so never pick
-        # one while anything better exists.
-        ranked = [s for s in ranked if self.seg_live[s] < B]
-        return ranked[:count]
-
     def _select_victims(self, count: int) -> list[int]:
-        """Pick the next ``count`` victims; bit-identical to the oracle.
+        """Pick the next ``count`` victims, best first.
 
         Greedy scores depend only on live counts, so they live in a
         persistent lazy-invalidation heap updated from the deferred
         dirty set. Cost-benefit scores move with the clock and cannot be
         cached across passes; they use top-k partial selection instead
-        of a full sort.
+        of a full sort. A fully live segment yields nothing — cleaning
+        it is pure cost — so neither path ever picks one. Victims are
+        bit-identical to the full-sort oracle in ``tests/oracles.py``.
         """
-        if not self.config.incremental:
-            return self._legacy_victims(count)
         B = self.config.blocks_per_segment
         if self.config.selection is SelectionPolicy.GREEDY:
             self._flush_victim_scores()

@@ -12,7 +12,7 @@ Two independent policy axes, exactly as the paper separates them:
 from __future__ import annotations
 
 import enum
-from typing import Protocol, Sequence
+from typing import Protocol
 
 
 class SelectionPolicy(enum.Enum):
@@ -37,18 +37,12 @@ class SegmentView(Protocol):
     def segment_mtime(self, seg: int) -> float: ...
 
 
-def rank_greedy(candidates: Sequence[int], view: SegmentView) -> list[int]:
-    """Least-utilized segments first — the paper's simple greedy policy."""
-    return sorted(candidates, key=view.live_blocks)
-
-
 def cost_benefit_key(view: SegmentView, now: float, blocks_per_segment: int):
     """The benefit-to-cost ratio as a scoring function (Section 3.5).
 
     benefit/cost = (1 - u) * age / (1 + u), with age taken from the most
-    recent modified time of any block in the segment. Shared by the full
-    sort and the incremental top-k path so both compute bit-identical
-    floats.
+    recent modified time of any block in the segment. Shared with the
+    full-sort test oracle so both compute bit-identical floats.
     """
 
     def ratio(seg: int) -> float:
@@ -57,28 +51,3 @@ def cost_benefit_key(view: SegmentView, now: float, blocks_per_segment: int):
         return (1.0 - u) * age / (1.0 + u)
 
     return ratio
-
-
-def rank_cost_benefit(
-    candidates: Sequence[int], view: SegmentView, now: float, blocks_per_segment: int
-) -> list[int]:
-    """Highest benefit-to-cost ratio first (Section 3.5).
-
-    Cold segments get cleaned at much higher utilizations than hot ones.
-    """
-    return sorted(
-        candidates, key=cost_benefit_key(view, now, blocks_per_segment), reverse=True
-    )
-
-
-def rank(
-    policy: SelectionPolicy,
-    candidates: Sequence[int],
-    view: SegmentView,
-    now: float,
-    blocks_per_segment: int,
-) -> list[int]:
-    """Dispatch to the configured selection policy."""
-    if policy == SelectionPolicy.GREEDY:
-        return rank_greedy(candidates, view)
-    return rank_cost_benefit(candidates, view, now, blocks_per_segment)

@@ -34,7 +34,7 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 PATTERN_SPECS = ("uniform", "hot-cold")
 
-ENGINES = ("auto", "reference", "vectorized")
+ENGINES = ("reference", "vectorized")
 
 
 def make_pattern(spec: str) -> AccessPattern:
@@ -71,35 +71,6 @@ class SweepPoint:
 def run_point(point: SweepPoint) -> SimResult:
     """Run one sweep point to steady state (the pool's work function)."""
     return Simulator(point.config, make_pattern(point.pattern)).run()
-
-
-def have_numpy() -> bool:
-    """Whether the optional vectorized engine's dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def resolve_engine(engine: str = "auto") -> str:
-    """Pick the concrete sweep engine: ``reference`` or ``vectorized``.
-
-    ``auto`` selects the vectorized engine when numpy is importable and
-    silently falls back to the reference engine otherwise (the two are
-    bit-identical, so this is purely a speed decision). Requesting
-    ``vectorized`` explicitly without numpy is an error.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
-    if engine == "auto":
-        return "vectorized" if have_numpy() else "reference"
-    if engine == "vectorized" and not have_numpy():
-        raise RuntimeError(
-            "vectorized engine requires numpy (pip extra: repro[perf]); "
-            "use --engine reference or auto"
-        )
-    return engine
 
 
 def _run_fleet_chunk(points: Sequence[SweepPoint]) -> list[SimResult]:
@@ -161,15 +132,16 @@ def run_sweep(
     points: Iterable[SweepPoint],
     workers: int | None = None,
     *,
-    engine: str = "auto",
+    engine: str = "vectorized",
 ) -> list[SimResult]:
     """Run every point, in order, fanning across a process pool.
 
     ``workers=1`` (or a single point, or a single-core host) runs
     in-process; results are bit-identical either way because each point
     carries its own seed and the simulator is deterministic — and
-    bit-identical across ``engine`` choices too (the vectorized engine
-    is proven equivalent to the reference simulator).
+    bit-identical across ``engine`` choices too: ``"vectorized"`` (the
+    default) is proven equivalent to ``"reference"``, the pure-Python
+    simulator kept as its oracle. Any other name is a ``ValueError``.
 
     The vectorized engine batches each worker's points into one fused
     fleet (shared numpy kernels across points), so it splits the sweep
@@ -177,9 +149,11 @@ def run_sweep(
     ordering stays deterministic because chunks are mapped in order and
     re-concatenated.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
     points = list(points)
     nworkers = resolve_workers(workers, len(points))
-    if resolve_engine(engine) == "vectorized":
+    if engine == "vectorized":
         if nworkers <= 1:
             return _run_fleet_chunk(points)
         size = -(-len(points) // nworkers)

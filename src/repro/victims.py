@@ -78,10 +78,6 @@ class LazyVictimHeap:
     def __iter__(self) -> Iterable[int]:
         return iter(self._score)
 
-    def score_of(self, seg: int) -> float | None:
-        """The authoritative score of ``seg`` (None if absent)."""
-        return self._score.get(seg)
-
     def update(self, seg: int, score: float) -> None:
         """Insert ``seg`` or change its score; the old entry goes stale."""
         if self._score.get(seg) == score:

@@ -1,8 +1,16 @@
 """Tests for configuration and disk layout computation."""
 
+import dataclasses
+import enum
+
 import pytest
 
 from repro.core.config import CleaningPolicy, LFSConfig, compute_layout
+from repro.core.filesystem import LFS
+from repro.disk.device import Disk
+from repro.disk.geometry import DiskGeometry
+
+from tests.conftest import SMALL_BLOCKS, small_config
 
 
 class TestLFSConfig:
@@ -85,3 +93,44 @@ class TestLayout:
         small = compute_layout(LFSConfig(max_inodes=1024, segment_bytes=128 * 1024), 65536)
         big = compute_layout(LFSConfig(max_inodes=500000, segment_bytes=128 * 1024), 65536)
         assert big.checkpoint_blocks > small.checkpoint_blocks
+
+
+GEOMETRY_FIELDS = ("block_size", "segment_bytes", "max_inodes")
+
+
+def _changed(f: dataclasses.Field, value):
+    """A valid value for field ``f`` that differs from ``value`` and the default."""
+    while True:
+        if isinstance(value, bool):
+            value = not value
+        elif isinstance(value, enum.Enum):
+            members = list(type(value))
+            value = members[(members.index(value) + 1) % len(members)]
+        elif f.name in GEOMETRY_FIELDS:
+            value *= 2
+        elif isinstance(f.default, float):
+            value += 0.25
+        else:
+            value += 1
+        if value != f.default:
+            return value
+
+
+class TestMountConfig:
+    """``LFS.mount`` takes geometry from the superblock, the rest from ``config``."""
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(LFSConfig), ids=lambda f: f.name
+    )
+    def test_field_survives_mount(self, field):
+        formatted = small_config()
+        disk = Disk(DiskGeometry.wren4(num_blocks=SMALL_BLOCKS))
+        LFS.format(disk, formatted).unmount()
+        value = _changed(field, getattr(formatted, field.name))
+        runtime = dataclasses.replace(formatted, **{field.name: value})
+        fs = LFS.mount(disk, runtime)
+        if field.name in GEOMETRY_FIELDS:
+            assert getattr(fs.config, field.name) == getattr(formatted, field.name)
+        else:
+            assert getattr(fs.config, field.name) == value
+            assert fs.config == runtime

@@ -18,19 +18,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.simulator.batch import run_fleet  # noqa: E402
-from repro.simulator.fast import FastSimulator  # noqa: E402
-from repro.simulator.fastrand import make_sampler  # noqa: E402
-from repro.simulator.model import SimConfig, Simulator  # noqa: E402
-from repro.simulator.patterns import HotColdPattern, UniformPattern  # noqa: E402
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy  # noqa: E402
-from repro.simulator.sweep import (  # noqa: E402
+from repro.simulator.batch import run_fleet
+from repro.simulator.fast import FastSimulator
+from repro.simulator.fastrand import make_sampler
+from repro.simulator.model import SimConfig, Simulator
+from repro.simulator.patterns import HotColdPattern, UniformPattern
+from repro.simulator.policies import GroupingPolicy, SelectionPolicy
+from repro.simulator.sweep import (
     SweepPoint,
     derive_point_seed,
     result_digest,
@@ -219,6 +218,13 @@ class TestFleetIdentity:
         vec = run_sweep(points, workers=1, engine="vectorized")
         assert vec == ref
         assert result_digest(vec) == result_digest(ref)
+        assert run_sweep(points, workers=1) == vec  # vectorized is the default
+
+    @pytest.mark.parametrize("engine", ["auto", "fast"])
+    def test_run_sweep_rejects_unknown_engine(self, engine):
+        point = SweepPoint(small_config(0.5, SelectionPolicy.GREEDY, GroupingPolicy.NONE))
+        with pytest.raises(ValueError, match="'reference', 'vectorized'"):
+            run_sweep([point], workers=1, engine=engine)
 
 
 class TestDeviceImageEquivalence:

@@ -4,17 +4,14 @@ import pytest
 
 from repro.simulator.model import SimConfig, Simulator
 from repro.simulator.patterns import HotColdPattern, UniformPattern
-from repro.simulator.policies import (
-    GroupingPolicy,
-    SelectionPolicy,
-    rank_cost_benefit,
-    rank_greedy,
-)
+from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.writecost import (
     bandwidth_fraction,
     lfs_write_cost,
     measured_write_cost,
 )
+
+from tests.oracles import rank_cost_benefit, rank_greedy
 
 
 def tiny_config(**kw):

@@ -195,6 +195,7 @@ class TestCliSweep:
         assert "write cost" in printed
         data = json.loads(out.read_text())
         assert data["bench"] == "sweep"
+        assert data["engine"] == "vectorized"
         assert data["points"] == 1
         assert data["base_seed"] == 42
         assert len(data["write_costs"]) == 1

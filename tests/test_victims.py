@@ -1,9 +1,9 @@
 """Tests for incremental victim selection (the lazy heap and both cleaners).
 
 The contract under test: the incremental paths pick bit-identical
-victims to the legacy full-scan, full-sort oracles — for the simulator's
-``rank()`` and for the core cleaner's reference selection — across
-randomized segment states and both policies.
+victims to the legacy full-scan, full-sort oracles in ``tests/oracles.py``
+— for the simulator and for the core cleaner — across randomized segment
+states and both policies.
 """
 
 import random
@@ -20,6 +20,7 @@ from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.victims import LazyVictimHeap, partial_sort
 
 from tests.conftest import small_config
+from tests.oracles import cleaner_victims, legacy_simulator, simulator_victims
 
 
 class TestPartialSort:
@@ -134,7 +135,7 @@ class TestSimulatorSelection:
         "selection", [SelectionPolicy.GREEDY, SelectionPolicy.COST_BENEFIT]
     )
     def test_incremental_matches_oracle_across_random_states(self, selection):
-        """The ISSUE's property test: same victims as full-sort rank()."""
+        """Property: same victims as the full-sort oracle at every state."""
         rng = random.Random(11)
         cfg = SimConfig(
             num_segments=36,
@@ -148,7 +149,7 @@ class TestSimulatorSelection:
         for _ in range(40):
             _drive(sim, rng.randrange(1, 200))
             for count in (1, 2, 4):
-                assert sim._select_victims(count) == sim._legacy_victims(count)
+                assert sim._select_victims(count) == simulator_victims(sim, count)
 
     @pytest.mark.parametrize(
         "selection,pattern_cls,grouping",
@@ -173,8 +174,8 @@ class TestSimulatorSelection:
             stable_windows=1,
             seed=9,
         )
-        fast = Simulator(SimConfig(**kw, incremental=True), pattern_cls()).run()
-        oracle = Simulator(SimConfig(**kw, incremental=False), pattern_cls()).run()
+        fast = Simulator(SimConfig(**kw), pattern_cls()).run()
+        oracle = legacy_simulator(Simulator(SimConfig(**kw), pattern_cls())).run()
         assert fast.write_cost == oracle.write_cost
         assert fast.new_blocks == oracle.new_blocks
         assert fast.moved_blocks == oracle.moved_blocks
@@ -201,11 +202,11 @@ class TestCoreCleanerSelection:
                     fs.unlink(f"/f{i}")
             for count in (1, 2, 4):
                 assert fs.cleaner.select_segments(count) == (
-                    fs.cleaner.select_segments_reference(count)
+                    cleaner_victims(fs.cleaner, count)
                 )
         # and after real cleaning reshuffles the usage table
         fs.clean_now(fs.usage.clean_count + 2)
         for count in (1, 3):
             assert fs.cleaner.select_segments(count) == (
-                fs.cleaner.select_segments_reference(count)
+                cleaner_victims(fs.cleaner, count)
             )
