@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from repro.core.blocks import checksum
 from repro.core.config import CleaningPolicy
 from repro.core.constants import BlockKind
-from repro.core.errors import MediaError, TrimmedBlockError
+from repro.core.errors import MediaError
 from repro.core.inode import unpack_inode_block
-from repro.core.summary import try_parse_summary
+from repro.core.summary import ROT, WRITE, walk_segment
 from repro.obs.attribution import CLEANING_READ
 from repro.obs.events import CLEAN_PASS, CLEAN_QUARANTINE, CLEAN_SEGMENT
 from repro.victims import LazyVictimHeap, partial_sort
@@ -363,51 +363,35 @@ class Cleaner:
                 blocks = fs.disk.read_blocks(start, seg_blocks)
                 self.stats.blocks_read += seg_blocks
 
-            def block_at(i: int) -> bytes:
+            def block_at(addr: int) -> bytes:
                 if blocks is not None:
-                    return blocks[i]
+                    return blocks[addr - start]
                 self.stats.blocks_read += 1
-                return fs.disk.read_block(start + i)
+                return fs.disk.read_block(addr)
 
             moved = 0
-            offset = 0
-            prev_seq = 0
-            while offset < seg_blocks:
-                try:
-                    raw = block_at(offset)
-                except TrimmedBlockError:
-                    # Trimmed and never reprogrammed: nothing was written
-                    # here this epoch, so the segment's log ends.
-                    break
-                summary = try_parse_summary(raw, fs.config.block_size)
-                bad_walk = (
-                    summary is None
-                    or summary.seq <= prev_seq
-                    or summary.seq >= fs.writer.seq
-                    or offset + 1 + len(summary.entries) > seg_blocks
-                )
-                if bad_walk:
-                    # End of the segment's log — unless a later current-
-                    # epoch summary exists (peek-located: seqs within an
-                    # epoch strictly increase, so stale residue cannot
-                    # match), in which case the walk broke on a *rotted*
-                    # summary and ending here would strand every live
-                    # block after it. Escalate to a rescue instead.
-                    for off in range(offset + 1, seg_blocks):
-                        cand = try_parse_summary(
-                            fs.disk.peek(start + off), fs.config.block_size
-                        )
-                        if (
-                            cand is not None
-                            and prev_seq < cand.seq < fs.writer.seq
-                            and off + 1 + len(cand.entries) <= seg_blocks
-                        ):
-                            raise MediaError(
-                                "summary block failed to parse mid-segment "
-                                "during cleaning",
-                                addr=start + offset,
-                                op="read",
-                            )
+            # A trimmed summary block ends the walk (nothing was written
+            # there this epoch); on a payload read it still propagates.
+            for kind, offset, summary, _, _ in walk_segment(
+                block_at,
+                fs.disk.peek,
+                start,
+                seg_blocks,
+                fs.config.block_size,
+                below=fs.writer.seq,
+            ):
+                if kind == ROT:
+                    # A later current-epoch summary exists, so the walk
+                    # broke on a *rotted* summary, and ending here would
+                    # strand every live block after it. Escalate to a
+                    # rescue instead.
+                    raise MediaError(
+                        "summary block failed to parse mid-segment "
+                        "during cleaning",
+                        addr=start + offset,
+                        op="read",
+                    )
+                if kind != WRITE:
                     break
                 n = len(summary.entries)
                 if blocks is not None and not summary.verify(blocks[offset + 1 : offset + 1 + n]):
@@ -421,12 +405,11 @@ class Cleaner:
                         addr=start + offset,
                         op="read",
                     )
-                prev_seq = summary.seq
                 for i, entry in enumerate(summary.entries):
                     addr = start + offset + 1 + i
 
-                    def checked_payload(i=i, off=offset, e=entry):
-                        p = block_at(off + 1 + i)
+                    def checked_payload(a=addr, e=entry):
+                        p = block_at(a)
                         # Selective reads skip the whole-write CRC, so
                         # verify each lazily fetched payload individually.
                         if (
@@ -436,7 +419,7 @@ class Cleaner:
                         ):
                             raise MediaError(
                                 "block failed CRC during selective cleaning",
-                                addr=start + off + 1 + i,
+                                addr=a,
                                 op="read",
                             )
                         return p
@@ -445,7 +428,6 @@ class Cleaner:
                         self.stats.live_blocks_seen += 1
                         self.stats.live_blocks_moved += 1
                         moved += 1
-                offset += 1 + n
             return moved
 
     # ------------------------------------------------------------------
@@ -506,54 +488,24 @@ class Cleaner:
         rescued = lost = 0
         with fs._cause(CLEANING_READ):
 
-            def safe_read(i: int) -> bytes | None:
+            def safe_read(addr: int) -> bytes | None:
                 try:
                     self.stats.blocks_read += 1
-                    return fs.disk.read_block(start + i)
+                    return fs.disk.read_block(addr)
                 except MediaError:
                     return None
 
-            def find_resume(from_off: int, prev: int) -> int | None:
-                # Locate the next current-epoch summary past a damaged one
-                # (peek is a locator only; the resumed summary is re-read
-                # for real before anything is trusted). Seqs within an
-                # epoch strictly increase, so prev < seq < writer.seq
-                # cannot match stale residue.
-                for off in range(from_off + 1, seg_blocks):
-                    cand = try_parse_summary(fs.disk.peek(start + off), bs)
-                    if (
-                        cand is not None
-                        and prev < cand.seq < fs.writer.seq
-                        and off + 1 + len(cand.entries) <= seg_blocks
-                    ):
-                        return off
-                return None
-
-            offset = 0
-            prev_seq = 0
-            while offset < seg_blocks:
-                raw = safe_read(offset)
-                summary = (
-                    try_parse_summary(raw, bs) if raw is not None else None
-                )
-                if (
-                    summary is None
-                    or summary.seq <= prev_seq
-                    or summary.seq >= fs.writer.seq
-                    or offset + 1 + len(summary.entries) > seg_blocks
-                ):
-                    # An unreadable or invalid summary: the blocks it
-                    # described can no longer be identified, but writes
-                    # beyond it may still be salvageable.
-                    resume = find_resume(offset, prev_seq)
-                    if resume is None:
-                        break
-                    offset = resume
+            # An unreadable or invalid summary loses the blocks it
+            # described, but the walk resumes at the next write (the
+            # resumed summary is re-read for real before it is trusted).
+            for kind, offset, summary, _, _ in walk_segment(
+                safe_read, fs.disk.peek, start, seg_blocks, bs, below=fs.writer.seq
+            ):
+                if kind != WRITE:
                     continue
-                prev_seq = summary.seq
                 for i, entry in enumerate(summary.entries):
                     addr = start + offset + 1 + i
-                    payload = safe_read(offset + 1 + i)
+                    payload = safe_read(addr)
                     ok = payload is not None and (
                         not entry.block_crc or checksum([payload]) == entry.block_crc
                     )
@@ -589,7 +541,6 @@ class Cleaner:
                         self.stats.live_blocks_seen += 1
                         self.stats.blocks_lost += 1
                         lost += 1
-                offset += 1 + len(summary.entries)
         return rescued, lost
 
     def _entry_live(self, entry, addr: int) -> bool:

@@ -59,12 +59,6 @@ class LFSConfig:
             particularly if the utilization is very low" (Section 3.4).
             0.0 disables (always read whole segments, the paper's
             conservative assumption).
-        battery_backed_buffer: model the paper's suggestion that "for
-            applications that require better crash recovery, non-volatile
-            RAM may be used for the write buffer" (Section 2.1): on an OS
-            crash the battery holds the buffer up long enough to flush it
-            and checkpoint, so no buffered writes are lost. A power cut
-            that kills the disk itself still loses the in-flight write.
         media_error_budget: unrecoverable media/corruption errors the
             read path tolerates before the file system degrades to
             read-only mode (writes then fail fast as ``ReadOnlyError``
@@ -85,24 +79,12 @@ class LFSConfig:
             across the device. Only meaningful on a flash disk; off by
             default so HDD-profile victim selection stays bit-identical
             to the reference oracle.
-        nvram_staging: absorb ``sync()``/``fsync()`` into CRC-framed
-            records appended to a byte-addressable NVM staging log (the
-            paper's "non-volatile RAM may be used for the write buffer"
-            future work, in its modern NVLog shape) instead of forcing a
-            synchronous segment write. Covered data stays dirty in the
-            cache until an ordinary flush destages it to the log, after
-            which the NVM log is truncated — so the NVM log is always
-            exactly the acknowledged-but-not-yet-on-disk suffix. Requires
-            an NVM device to be passed to ``LFS.format``/``LFS.mount``;
-            off by default so all existing recordings and digests are
-            untouched. Unlike ``battery_backed_buffer`` (which flushes
-            during an orderly OS crash), NVM staging survives a hard
-            power cut: surviving records are replayed after roll-forward.
-        nvram_destage_bytes: destage (flush + truncate the NVM log) once
-            this many bytes of records are staged. 0 means one segment's
-            worth (``segment_bytes``) — the paper-shaped "write the data
-            to disk in a single large I/O" batch. The device's capacity
-            is a second, hard bound.
+        nvram_destage_bytes: with NVM staging (on when an NVM device
+            is passed to ``LFS.format``/``LFS.mount``), destage (flush +
+            truncate the NVM log) once this many bytes of records are
+            staged. 0 means one segment's worth (``segment_bytes``) — the
+            paper-shaped "write the data to disk in a single large I/O"
+            batch. The device's capacity is a second, hard bound.
         sync_flush_barrier: charge a synchronous flush's first disk
             request half a rotation of latency even when it lands
             sequentially — a lone synchronous writer has let the platter
@@ -126,11 +108,9 @@ class LFSConfig:
     cache_blocks: int = 6144
     checkpoint_data_blocks: int = 0
     selective_read_utilization: float = 0.0
-    battery_backed_buffer: bool = False
     media_error_budget: int = 8
     hot_cold_segregation: bool = False
     wear_leveling: bool = False
-    nvram_staging: bool = False
     nvram_destage_bytes: int = 0
     sync_flush_barrier: bool = False
 

@@ -31,7 +31,6 @@ from repro.core.constants import (
 from repro.core import directory as dirfmt
 from repro.core.dirlog import DirOpRecord, pack_records
 from repro.core.errors import (
-    LFSError,
     CorruptionError,
     DirectoryNotEmptyError,
     FileExistsLFSError,
@@ -52,6 +51,7 @@ from repro.core.mapping import FileMap
 from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, pack_body
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
+from repro.core.summary import AHEAD, ROT, WRITE, walk_segment
 from repro.core.superblock import Superblock
 from repro.disk.device import Disk
 from repro.obs.attribution import CHECKPOINT, CLEANING_WRITE, DATA_WRITE, NVM_DESTAGE
@@ -163,11 +163,11 @@ class LFS:
         self.read_only = False
         self.media_errors_seen = 0
         self._read_only_reason: str | None = None
-        # NVM write-ahead staging (``config.nvram_staging``): the second
-        # persistence domain. ``nvram`` is the staging device (attached by
-        # format/mount); the bookkeeping below tracks which pending state
-        # the staging log already covers, so each sync stages only the
-        # delta since the previous record:
+        # NVM write-ahead staging: the second persistence domain, on when
+        # format/mount is given a device. ``nvram`` is that device; the
+        # bookkeeping below tracks which pending state the staging log
+        # already covers, so each sync stages only the delta since the
+        # previous record:
         #  - ``_nvm_staged_dirops``: count of ``_pending_dirops`` entries
         #    already staged (reset when a flush consumes the list);
         #  - ``_nvm_dirty_ranges``: inum -> fbn -> merged (start, end)
@@ -199,9 +199,12 @@ class LFS:
         ``obs`` (a :class:`repro.obs.Observation`) is attached before the
         first write so the trace covers the whole session, including the
         format-time checkpoint. ``nvram`` (a
-        :class:`~repro.disk.nvram.NVMDevice`) supplies the staging board
-        when ``config.nvram_staging`` is on; omitted, a default board is
-        created sharing the disk's clock.
+        :class:`~repro.disk.nvram.NVMDevice`) turns on NVM staging:
+        ``sync()``/``fsync()`` append CRC-framed records to it (the paper's
+        "non-volatile RAM may be used for the write buffer", Section 2.1, in
+        its NVLog shape) instead of forcing a synchronous segment write.
+        The records survive a power cut and are replayed after
+        roll-forward.
         """
         config = config if config is not None else LFSConfig()
         if config.block_size != disk.geometry.block_size:
@@ -355,23 +358,13 @@ class LFS:
             self._verify_log_payload(addr, payload)
 
     def _attach_nvram(self, nvram) -> None:
-        """Bind the NVM staging board (or build one) when the knob is on.
+        """Bind the NVM staging board, if any, to the disk's clock.
 
-        The board shares the disk's clock so staging latency and disk
-        latency advance the same simulated timeline. Passing a device is
-        itself the opt-in — it may hold acknowledged records from before
-        a crash, and ignoring it would silently lose them — while the
-        ``nvram_staging`` knob governs auto-creating a default board when
-        none is supplied.
+        Staging latency and disk latency then advance the same simulated
+        timeline. A passed board may hold acknowledged records from before
+        a crash, which mount replays.
         """
-        if nvram is None:
-            if not self.config.nvram_staging:
-                self.nvram = None
-                return
-            from repro.disk.nvram import NVMDevice
-
-            nvram = NVMDevice(clock=self.disk.clock)
-        else:
+        if nvram is not None:
             nvram.clock = self.disk.clock
         self.nvram = nvram
 
@@ -384,20 +377,9 @@ class LFS:
     def crash(self) -> None:
         """Simulate an OS crash: all in-memory state is lost.
 
-        The disk keeps whatever was durably written. Use
-        :meth:`LFS.mount` afterwards to recover. With
-        ``battery_backed_buffer`` the write buffer drains to the log
-        before the system halts (unless the disk itself lost power).
+        The disk keeps whatever was durably written, and an NVM staging
+        board its records. Use :meth:`LFS.mount` afterwards to recover.
         """
-        if (
-            self._mounted
-            and self.config.battery_backed_buffer
-            and not self.disk.faults.crashed
-        ):
-            try:
-                self.checkpoint()
-            except LFSError:
-                pass  # the battery could not save everything; recover normally
         self._mounted = False
         self.cache.clear_all()
         self._inodes.clear()
@@ -524,77 +506,38 @@ class LFS:
         summary block is read alongside the first access to the segment and
         cached, so no extra simulated I/O is charged. Stale summaries from
         a previous epoch of a reused segment are cut off by the monotonic
-        sequence-number rule (global ``seq`` ordering guarantees them
-        lower) and by the current-write-cursor bound.
+        sequence-number rule of :func:`walk_segment` and by the
+        current-write-cursor bound.
         """
         if seg_no in self._crc_indexed_segments:
             return
         self._crc_indexed_segments.add(seg_no)
-        from repro.core.summary import try_parse_summary
-
         start = self.layout.segment_start(seg_no)
         seg_blocks = self.config.segment_blocks
-        offset = 0
-        prev_seq = -1
         sink = self.writer.block_crcs
-        while offset < seg_blocks:
-            raw = self.disk.peek(start + offset)
-            summary = try_parse_summary(raw, self.config.block_size)
-            if (
-                summary is None
-                or summary.seq <= prev_seq
-                or summary.seq >= self.writer.seq
-                or offset + 1 + len(summary.entries) > seg_blocks
-            ):
-                if (
-                    summary is not None
-                    and summary.seq > prev_seq
-                    and summary.seq >= self.writer.seq
-                    and offset + 1 + len(summary.entries) <= seg_blocks
-                ):
-                    # A write from beyond the restored cursor — the
-                    # checkpoint tail before roll-forward has replayed it.
-                    # Stale residue always carries a lower seq than the
-                    # cursor, so this is not rot: stop without tainting
-                    # and let the post-recovery re-index walk it with the
-                    # advanced bound.
-                    break
-                # A parseable summary further on with a later (still
-                # in-bounds) seq proves the walk broke on a rotted summary
-                # rather than the end of the segment's log: stale residue
-                # always carries a lower seq.
-                resume = None
-                for off in range(offset + 1, seg_blocks):
-                    cand = try_parse_summary(
-                        self.disk.peek(start + off), self.config.block_size
-                    )
-                    if (
-                        cand is not None
-                        and prev_seq < cand.seq < self.writer.seq
-                        and off + 1 + len(cand.entries) <= seg_blocks
-                    ):
-                        resume = off
-                        break
+        peek = self.disk.peek
+        for kind, offset, summary, raw, resume in walk_segment(
+            peek, peek, start, seg_blocks, self.config.block_size, below=self.writer.seq
+        ):
+            if kind == WRITE:
+                addr = start + offset
+                # setdefault: this session's write-through CRCs are fresher
+                # than anything parsed off the platter.
+                sink.setdefault(addr, checksum([raw]))
+                for i, entry in enumerate(summary.entries):
+                    if entry.block_crc:
+                        sink.setdefault(addr + 1 + i, entry.block_crc)
+            elif kind != AHEAD:
                 # Nothing from here to the resume point (or segment end)
                 # is vouched for by a valid summary. For an unused tail
                 # that is moot — no live block points there — but a live
                 # block in this range lost its CRC to summary rot and
-                # must not be read back as if intact.
-                end = resume if resume is not None else seg_blocks
+                # must not be read back as if intact. An AHEAD write is
+                # the checkpoint tail before roll-forward has replayed
+                # it: not rot, and the post-recovery re-index walks it
+                # with the advanced bound.
+                end = resume if kind == ROT else seg_blocks
                 self._tainted_addrs.update(range(start + offset, start + end))
-                if resume is None:
-                    break
-                offset = resume
-                continue
-            addr = start + offset
-            # setdefault: this session's write-through CRCs are fresher
-            # than anything parsed off the platter.
-            sink.setdefault(addr, checksum([raw]))
-            for i, entry in enumerate(summary.entries):
-                if entry.block_crc:
-                    sink.setdefault(addr + 1 + i, entry.block_crc)
-            prev_seq = summary.seq
-            offset += 1 + len(summary.entries)
 
     def get_inode(self, inum: int) -> Inode:
         """Fetch an inode, reading it from the log if necessary."""

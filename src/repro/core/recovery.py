@@ -37,7 +37,7 @@ from repro.core.errors import CorruptionError, MediaError, TrimmedBlockError
 from repro.core.inode import Inode, unpack_inode_block
 from repro.core.mapping import FileMap
 from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, unpack_body
-from repro.core.summary import SegmentSummary, try_parse_summary
+from repro.core.summary import ROT, WRITE, SegmentSummary, try_parse_summary, walk_segment
 from repro.obs.events import RECOVER_SCAVENGE
 
 
@@ -566,15 +566,10 @@ def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:
     """Find every intact partial write on the device, segment by segment.
 
     Unlike roll-forward, the log threading cannot be trusted here (it
-    starts from a checkpoint we no longer have), so each segment is walked
-    independently from its first block. Within one segment the writes of
-    the current epoch are contiguous from offset 0 with strictly
-    increasing sequence numbers; any stale summary left over from an
-    earlier life of the segment carries a *lower* seq (sequence numbers
-    are global and never reused), so requiring monotonic growth cuts the
-    walk off exactly at the epoch boundary. Fully stale segments (cleaned
-    but not yet rewritten) replay harmlessly: the global seq-ordered
-    replay supersedes every block they describe.
+    starts from a checkpoint we no longer have), so each segment's current
+    epoch is walked independently (:func:`walk_segment`). Fully stale
+    segments (cleaned but not yet rewritten) replay harmlessly: the global
+    seq-ordered replay supersedes every block they describe.
 
     Each write is verified against its whole-write CRC; torn tails, rotted
     payloads, and writes hit by latent sector errors are dropped (counted
@@ -582,47 +577,26 @@ def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:
     """
     writes: list[_PartialWrite] = []
     seg_blocks = fs.config.segment_blocks
-    bs = fs.config.block_size
 
-    def find_resume(seg_start: int, from_off: int, prev: int) -> int | None:
-        # A damaged summary must not hide the intact writes after it:
-        # locate the next current-epoch summary by peek (locator only —
-        # the resumed block is re-read for real), relying on seqs within
-        # an epoch strictly increasing so stale residue cannot match.
-        for off in range(from_off + 1, seg_blocks - 1):
-            cand = try_parse_summary(fs.disk.peek(seg_start + off), bs)
-            if (
-                cand is not None
-                and cand.seq > prev
-                and off + 1 + len(cand.entries) <= seg_blocks
-            ):
-                return off
-        return None
+    def read(addr: int) -> bytes | None:
+        try:
+            return fs.disk.read_block(addr)
+        except MediaError:
+            return None
 
     for seg in range(fs.layout.num_segments):
         report.segments_scanned += 1
         start = fs.layout.segment_start(seg)
-        offset = 0
-        prev_seq = 0
-        while offset < seg_blocks - 1:
-            try:
-                block = fs.disk.read_block(start + offset)
-            except MediaError:
-                block = None
-            summary = (
-                try_parse_summary(block, bs) if block is not None else None
-            )
-            bad_walk = (
-                summary is None
-                or summary.seq <= prev_seq
-                or offset + 1 + len(summary.entries) > seg_blocks
-            )
-            if bad_walk:
-                resume = find_resume(start, offset, prev_seq)
-                if resume is None:
-                    break
+        # No write can start at the last block (each has an entry), so
+        # the walk never reads it; without a live writer there is no seq
+        # bound. A write a resume skips over is dropped.
+        walk = walk_segment(
+            read, fs.disk.peek, start, seg_blocks, fs.config.block_size, stop=seg_blocks - 1
+        )
+        for kind, offset, summary, _, _ in walk:
+            if kind == ROT:
                 report.torn_writes_dropped += 1
-                offset = resume
+            if kind != WRITE:
                 continue
             n = len(summary.entries)
             try:
@@ -642,8 +616,6 @@ def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:
                 )
             else:
                 report.torn_writes_dropped += 1
-            prev_seq = summary.seq
-            offset += 1 + n
     return writes
 
 

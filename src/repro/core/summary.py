@@ -10,6 +10,7 @@ described payloads makes a torn partial write self-invalidating.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from repro.core.blocks import checksum, require
@@ -19,7 +20,7 @@ from repro.core.constants import (
     SUMMARY_MAGIC,
     BlockKind,
 )
-from repro.core.errors import CorruptionError, InvalidOperationError
+from repro.core.errors import CorruptionError, InvalidOperationError, TrimmedBlockError
 
 # magic, self_crc, seq, write_time, nentries, crc, youngest_mtime,
 # next_segment — ``self_crc`` covers the whole summary block (with the
@@ -30,6 +31,7 @@ from repro.core.errors import CorruptionError, InvalidOperationError
 # summaries are accepted unchecked for backward compatibility.
 _HEADER = struct.Struct("<IIQdIIdQ")
 assert _HEADER.size == SUMMARY_HEADER_SIZE
+_MAGIC = struct.pack("<I", SUMMARY_MAGIC)  # a summary block's first bytes
 
 # kind, pad, block_crc, inum, offset, version — the per-block CRC lives in
 # what used to be pad bytes, so the entry (and the whole summary) keeps its
@@ -187,7 +189,95 @@ class SegmentSummary:
 
 def try_parse_summary(payload: bytes, block_size: int) -> SegmentSummary | None:
     """Parse a block as a summary, returning None when it is not one."""
+    if payload[:4] != _MAGIC:
+        return None  # most blocks a walk searches: no exception to raise
     try:
         return SegmentSummary.unpack(payload, block_size)
     except CorruptionError:
         return None
+
+
+#: Step kinds of :func:`walk_segment`: a current-epoch write; a failed
+#: block with a later current-epoch write to resume at (rot); the
+#: segment's log ending at a block; a valid write from beyond the live
+#: writer's cursor.
+WRITE, ROT, END, AHEAD = "write", "rot", "end", "ahead"
+
+_NO_BOUND = 1 << 64  # above every 64-bit seq
+
+
+def walk_segment(
+    read: Callable[[int], bytes | None],
+    peek: Callable[[int], bytes],
+    start: int,
+    seg_blocks: int,
+    block_size: int,
+    *,
+    below: int | None = None,
+    stop: int | None = None,
+) -> Iterator[tuple[str, int, SegmentSummary | None, bytes | None, int]]:
+    """Walk the current epoch of the segment at block ``start``.
+
+    Yields ``(kind, offset, summary, raw, resume)`` steps. ``offset`` is
+    the step's block within the segment; ``summary`` and ``raw`` (its
+    block's bytes) are set for ``WRITE``; ``resume`` is the offset a
+    ``ROT`` step picks up at.
+
+    A reused segment holds its current epoch's writes contiguously from
+    offset 0, with strictly increasing seqs, followed by residue from
+    earlier lives. Seqs are global and never reused, so that residue
+    always carries a lower seq than the epoch's last write: the walk
+    starts at offset 0 with previous seq 0, and a block leads a write
+    only if it parses, its ``seq`` exceeds the previous one, it is below
+    ``below`` (the live writer's next seq, when there is one) and the
+    write fits in the segment.
+
+    A failed block is either rot or the end of the log. ``peek`` (never
+    charged) locates the next summary that would lead a write; a hit
+    yields ``ROT`` and the walk resumes there, a miss yields ``END``. A
+    block that fails only the ``below`` bound is a write the cursor has
+    not replayed yet: ``AHEAD`` ends the walk without a search.
+
+    ``read`` fetches each candidate summary block (the caller's choice of
+    charged or free), returning None when the block is unreadable; a
+    :class:`TrimmedBlockError` from it ends the log (nothing was
+    programmed there this epoch). Offsets from ``stop`` (default
+    ``seg_blocks``) on are neither read nor searched. ``END`` and
+    ``AHEAD`` are yielded only when the walk stops short of ``stop``.
+    """
+    hi = _NO_BOUND if below is None else below
+    stop = seg_blocks if stop is None else stop
+    offset = 0
+    prev = 0
+    while offset < stop:
+        try:
+            raw = read(start + offset)
+        except TrimmedBlockError:
+            yield END, offset, None, None, 0
+            return
+        summary = try_parse_summary(raw, block_size) if raw is not None else None
+        if (
+            summary is not None
+            and summary.seq > prev
+            and offset + 1 + len(summary.entries) <= seg_blocks
+        ):
+            if summary.seq >= hi:
+                yield AHEAD, offset, None, None, 0
+                return
+            yield WRITE, offset, summary, raw, 0
+            prev = summary.seq
+            offset += 1 + len(summary.entries)
+            continue
+        for off in range(offset + 1, stop):
+            cand = try_parse_summary(peek(start + off), block_size)
+            if (
+                cand is not None
+                and prev < cand.seq < hi
+                and off + 1 + len(cand.entries) <= seg_blocks
+            ):
+                yield ROT, offset, None, None, off
+                offset = off
+                break
+        else:
+            yield END, offset, None, None, 0
+            return

@@ -10,9 +10,10 @@ from __future__ import annotations
 from repro.core.checkpoint import read_checkpoint
 from repro.core.constants import NO_SEGMENT, NULL_ADDR, BlockKind
 from repro.core.errors import CorruptionError
-from repro.core.summary import try_parse_summary
+from repro.core.summary import ROT, WRITE, walk_segment
 from repro.core.superblock import Superblock
 from repro.disk.device import Disk
+from repro.tools.lfsck import PeekView
 
 
 def dump_superblock(disk: Disk) -> str:
@@ -32,15 +33,6 @@ def dump_superblock(disk: Disk) -> str:
     )
 
 
-class _Peek:
-    def __init__(self, disk: Disk) -> None:
-        self.geometry = disk.geometry
-        self._disk = disk
-
-    def read_blocks(self, addr: int, count: int) -> list[bytes]:
-        return [self._disk.peek(addr + i) for i in range(count)]
-
-
 def dump_checkpoints(disk: Disk) -> str:
     """Render both checkpoint regions."""
     try:
@@ -48,7 +40,7 @@ def dump_checkpoints(disk: Disk) -> str:
     except CorruptionError as exc:
         return f"superblock: INVALID ({exc})"
     layout = sb.layout()
-    view = _Peek(disk)
+    view = PeekView(disk)
     parts = []
     for label, region_b in (("A", False), ("B", True)):
         try:
@@ -67,7 +59,7 @@ def dump_checkpoints(disk: Disk) -> str:
 
 
 def dump_segment(disk: Disk, seg_no: int, *, max_entries: int = 8) -> str:
-    """Render the summary chain of one segment."""
+    """Render the current epoch's summary chain of one segment."""
     try:
         sb = Superblock.from_bytes(disk.peek(0))
     except CorruptionError as exc:
@@ -78,11 +70,15 @@ def dump_segment(disk: Disk, seg_no: int, *, max_entries: int = 8) -> str:
     start = layout.segment_start(seg_no)
     seg_blocks = layout.segment_blocks
     lines = [f"segment {seg_no} (blocks {start}..{start + seg_blocks - 1}):"]
-    offset = 0
     found = 0
-    while offset < seg_blocks:
-        summary = try_parse_summary(disk.peek(start + offset), sb.block_size)
-        if summary is None:
+    walk = walk_segment(disk.peek, disk.peek, start, seg_blocks, sb.block_size)
+    for kind, offset, summary, _, resume in walk:
+        if kind == ROT:
+            lines.append(
+                f"  +{offset:4}: unparseable (rotted summary?), resuming at +{resume}"
+            )
+            continue
+        if kind != WRITE:
             break
         found += 1
         nxt = "-" if summary.next_segment == NO_SEGMENT else summary.next_segment
@@ -97,7 +93,6 @@ def dump_segment(disk: Disk, seg_no: int, *, max_entries: int = 8) -> str:
             )
         if len(summary.entries) > max_entries:
             lines.append(f"         ... {len(summary.entries) - max_entries} more")
-        offset += 1 + len(summary.entries)
     if not found:
         lines.append("  (no valid summaries — clean or never written)")
     return "\n".join(lines)

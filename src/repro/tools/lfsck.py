@@ -29,14 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import directory as dirfmt
-from repro.core.blocks import checksum, unpack_addrs
-from repro.core.checkpoint import read_checkpoint
+from repro.core.blocks import checksum
+from repro.core.checkpoint import read_latest_checkpoint
 from repro.core.constants import INODE_SIZE, NO_SEGMENT, NULL_ADDR, ROOT_INUM
 from repro.core.errors import CorruptionError
-from repro.core.inode import Inode, addrs_per_indirect, unpack_inode_block
+from repro.core.inode import Inode, unpack_inode_block
 from repro.core.inode_map import InodeMap
+from repro.core.mapping import FileMap
 from repro.core.seg_usage import SegmentUsageTable
-from repro.core.summary import try_parse_summary
+from repro.core.summary import ROT, WRITE, walk_segment
 from repro.core.superblock import Superblock
 from repro.disk.device import Disk
 
@@ -85,28 +86,22 @@ class CheckReport:
         return "\n".join(lines)
 
 
-class _PeekDisk:
+class PeekView:
     """Read-only, time-free view over a disk image.
 
-    Also quacks enough like :class:`Disk` (``geometry``, ``read_block``,
-    ``read_blocks``) for the checkpoint reader to use it directly.
+    Also quacks enough like :class:`Disk` (``geometry``, ``read_blocks``)
+    for the checkpoint reader to use it directly.
     """
 
     def __init__(self, disk: Disk) -> None:
-        self._disk = disk
+        self.read = disk.peek
         self.geometry = disk.geometry
 
-    def read(self, addr: int) -> bytes:
-        return self._disk.peek(addr)
-
-    def read_block(self, addr: int) -> bytes:
-        return self._disk.peek(addr)
-
     def read_blocks(self, addr: int, count: int) -> list[bytes]:
-        return [self._disk.peek(addr + i) for i in range(count)]
+        return [self.read(addr + i) for i in range(count)]
 
 
-def _load_inode(view: _PeekDisk, block_size: int, addr: int, inum: int) -> Inode | None:
+def _load_inode(view: PeekView, block_size: int, addr: int, inum: int) -> Inode | None:
     try:
         for candidate in unpack_inode_block(view.read(addr), block_size):
             if candidate.inum == inum:
@@ -116,62 +111,16 @@ def _load_inode(view: _PeekDisk, block_size: int, addr: int, inum: int) -> Inode
     return None
 
 
-def _file_blocks(view: _PeekDisk, block_size: int, inode: Inode) -> list[tuple[str, int]]:
+def _file_blocks(view: PeekView, block_size: int, inode: Inode) -> list[tuple[str, int]]:
     """Every allocated (kind, addr) of a file, reading indirects via peek."""
-    out: list[tuple[str, int]] = []
-    per = addrs_per_indirect(block_size)
-    nblocks = inode.nblocks(block_size)
-    for fbn in range(min(nblocks, len(inode.direct))):
-        if inode.direct[fbn] != NULL_ADDR:
-            out.append(("data", inode.direct[fbn]))
-    if nblocks > len(inode.direct) and inode.indirect != NULL_ADDR:
-        out.append(("indirect", inode.indirect))
-        l1 = unpack_addrs(view.read(inode.indirect), per)
-        for slot in range(min(nblocks - len(inode.direct), per)):
-            if l1[slot] != NULL_ADDR:
-                out.append(("data", l1[slot]))
-    first_double = len(inode.direct) + per
-    if nblocks > first_double and inode.dindirect != NULL_ADDR:
-        out.append(("indirect", inode.dindirect))
-        l2 = unpack_addrs(view.read(inode.dindirect), per)
-        remaining = nblocks - first_double
-        for child_idx in range((remaining + per - 1) // per):
-            if l2[child_idx] == NULL_ADDR:
-                continue
-            out.append(("indirect", l2[child_idx]))
-            child = unpack_addrs(view.read(l2[child_idx]), per)
-            for slot in range(min(remaining - child_idx * per, per)):
-                if child[slot] != NULL_ADDR:
-                    out.append(("data", child[slot]))
-    return out
-
-
-def _next_summary_offset(
-    read, start: int, from_offset: int, seg_blocks: int, prev_seq: int, bs: int
-) -> int | None:
-    """Scan forward for the next current-epoch summary after a bad block.
-
-    Sequence numbers are global and strictly increasing, so any parseable
-    summary with ``seq > prev_seq`` belongs to the current epoch — stale
-    residue from a segment's earlier life always carries a lower seq. A
-    hit means the walk broke on a *damaged* summary rather than the end
-    of the log, and tells us where to resume.
-    """
-    for off in range(from_offset + 1, seg_blocks):
-        cand = try_parse_summary(read(start + off), bs)
-        if (
-            cand is not None
-            and cand.seq > prev_seq
-            and off + 1 + len(cand.entries) <= seg_blocks
-        ):
-            return off
-    return None
+    fmap = FileMap(inode, block_size, view.read, lambda: None)
+    return fmap.all_block_addrs(inode.nblocks(block_size))
 
 
 def check_filesystem(disk: Disk) -> CheckReport:
     """Verify an unmounted LFS disk image; returns a :class:`CheckReport`."""
     report = CheckReport()
-    view = _PeekDisk(disk)
+    view = PeekView(disk)
 
     # 1. superblock
     try:
@@ -183,15 +132,9 @@ def check_filesystem(disk: Disk) -> CheckReport:
     bs = sb.block_size
 
     # 2. checkpoint regions (peek-based: checking is time-free)
-    best = None
-    for region_b in (False, True):
-        try:
-            cp = read_checkpoint(view, layout, region_b=region_b)
-        except CorruptionError:
-            continue
-        if best is None or cp.seq > best.seq:
-            best = cp
-    if best is None:
+    try:
+        best, _ = read_latest_checkpoint(view, layout)
+    except CorruptionError:
         report.error("no valid checkpoint region")
         return report
     report.checkpoint_seq = best.seq
@@ -333,30 +276,23 @@ def check_filesystem(disk: Disk) -> CheckReport:
 
     for seg_no in sorted(suspects):
         start = layout.segment_start(seg_no)
-        offset = 0
         prev_seq = 0
+        end = layout.segment_blocks  # where the walk stopped
         # (summary offset, seq, implicated addrs) for each failing write
         bad_writes: list[tuple[int, int, list[int]]] = []
         last_write_offset = -1
         covered: set[int] = set()  # addrs some walked write accounts for
-        while offset < layout.segment_blocks:
-            summary = try_parse_summary(view.read(start + offset), bs)
-            if (
-                summary is None
-                or summary.seq <= prev_seq
-                or offset + 1 + len(summary.entries) > layout.segment_blocks
-            ):
-                resume = _next_summary_offset(
-                    view.read, start, offset, layout.segment_blocks, prev_seq, bs
-                )
-                if resume is None:
-                    break  # genuine end of this segment's log — or is it?
+        walk = walk_segment(view.read, view.read, start, layout.segment_blocks, bs)
+        for kind, offset, summary, _, resume in walk:
+            if kind == ROT:
                 # A later current-epoch write exists, so the walk broke on
                 # a summary block that rot made unparseable.
                 bad_writes.append((offset, prev_seq + 1, [start + offset]))
                 covered.update(range(start + offset, start + resume))
-                offset = resume
                 continue
+            if kind != WRITE:
+                end = offset  # genuine end of this segment's log — or is it?
+                break
             prev_seq = summary.seq
             last_write_offset = offset
             covered.update(
@@ -375,7 +311,6 @@ def check_filesystem(disk: Disk) -> CheckReport:
                 # All payloads individually intact -> the summary block
                 # itself carries the damage.
                 bad_writes.append((offset, summary.seq, bad if bad else [start + offset]))
-            offset += 1 + len(summary.entries)
         for write_offset, seq, bad_addrs in bad_writes:
             trailing = write_offset == last_write_offset
             if trailing and seq >= best.log_seq:
@@ -417,7 +352,7 @@ def check_filesystem(disk: Disk) -> CheckReport:
         if stranded:
             # The stranded blocks' own CRCs rotted away with the summary,
             # so none of them can be verified: implicate them all.
-            bad_summary = start + offset
+            bad_summary = start + end
             report.checksum_errors.append(bad_summary)
             report.checksum_errors.extend(stranded)
             report.error(

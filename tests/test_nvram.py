@@ -1,8 +1,7 @@
-"""NVRAM: the battery-backed buffer and the write-ahead staging domain.
+"""NVRAM: the write-ahead staging domain.
 
-Two generations of the paper's NVRAM note live here. The original
-``battery_backed_buffer`` knob (drain the write buffer on OS crash) keeps
-its seed tests. The staging log (``repro.disk.nvram`` +
+The paper's NVRAM note ("non-volatile RAM may be used for the write
+buffer") in its modern NVLog shape. The staging log (``repro.disk.nvram`` +
 ``repro.core.nvlog``) is the second persistence domain: ``sync()`` and
 ``fsync()`` absorb small synchronous commits as CRC-framed NVM records,
 checkpoints truncate the log once the covered data is durable on disk,
@@ -38,53 +37,6 @@ from repro.disk.nvram import NVMDevice, NVMProfile, RECORD_OVERHEAD
 from repro.vfs import FileSystemView
 
 from tests.conftest import small_config
-
-
-class TestBatteryBackedBuffer:
-    def test_buffered_writes_survive_os_crash(self, disk):
-        cfg = small_config(battery_backed_buffer=True)
-        fs = LFS.format(disk, cfg)
-        fs.write_file("/unsynced", b"still only in RAM")
-        fs.crash()  # the battery drains the buffer before halting
-        disk.power_on()
-        fs2 = LFS.mount(disk, cfg)
-        assert fs2.read("/unsynced") == b"still only in RAM"
-
-    def test_without_battery_buffered_writes_lost(self, disk):
-        cfg = small_config(battery_backed_buffer=False)
-        fs = LFS.format(disk, cfg)
-        fs.write_file("/unsynced", b"gone")
-        fs.crash()
-        disk.power_on()
-        fs2 = LFS.mount(disk, cfg)
-        assert not fs2.exists("/unsynced")
-
-    def test_disk_power_cut_still_loses_buffer(self, disk):
-        """NVRAM can't help once the disk itself has lost power."""
-        cfg = small_config(battery_backed_buffer=True)
-        fs = LFS.format(disk, cfg)
-        fs.write_file("/unsynced", b"too late")
-        disk.crash()  # hard power cut at the device
-        fs.crash()
-        disk.power_on()
-        fs2 = LFS.mount(disk, cfg)
-        assert not fs2.exists("/unsynced")
-
-    def test_battery_flush_mid_write_failure_recovers(self, disk):
-        """If the emergency flush itself tears, recovery still works."""
-        cfg = small_config(battery_backed_buffer=True)
-        fs = LFS.format(disk, cfg)
-        fs.write_file("/old", b"durable")
-        fs.checkpoint()
-        fs.write_file("/buffered", b"b" * 50000)
-        disk.crash(after_writes=2)  # battery flush tears after 2 blocks
-        fs.crash()
-        disk.power_on()
-        fs2 = LFS.mount(disk, cfg)
-        assert fs2.read("/old") == b"durable"
-        # namespace is consistent regardless of whether /buffered made it
-        for name in fs2.readdir("/"):
-            fs2.stat(f"/{name}")
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +190,7 @@ class TestNVLogFormat:
 # ----------------------------------------------------------------------
 # staging + replay through the filesystem
 
-NVM_CONFIG = dict(nvram_staging=True, sync_flush_barrier=True)
+NVM_CONFIG = dict(sync_flush_barrier=True)
 
 
 def _nvm_fs(disk, **overrides):
@@ -249,6 +201,17 @@ def _nvm_fs(disk, **overrides):
 
 
 class TestNVMStaging:
+    def test_unsynced_writes_lost_on_os_crash(self, disk):
+        """Without a sync, buffered writes live only in RAM, and a crash
+        loses them."""
+        cfg = small_config()
+        fs = LFS.format(disk, cfg)
+        fs.write_file("/unsynced", b"gone")
+        fs.crash()
+        disk.power_on()
+        fs2 = LFS.mount(disk, cfg)
+        assert not fs2.exists("/unsynced")
+
     def test_sync_stages_instead_of_flushing(self, disk):
         cfg, nvm, fs = _nvm_fs(disk)
         fs.create("/mail")

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.core.constants import BlockKind
-from repro.core.errors import CorruptionError, InvalidOperationError
+from repro.core.errors import CorruptionError, InvalidOperationError, TrimmedBlockError
 from repro.core.summary import (
+    AHEAD,
+    END,
+    ROT,
+    WRITE,
     SegmentSummary,
     SummaryEntry,
     summary_capacity,
     try_parse_summary,
+    walk_segment,
 )
 
 
@@ -87,3 +92,135 @@ class TestTryParse:
     def test_random_data_block_rarely_parses(self):
         # a data block full of text must not look like a summary
         assert try_parse_summary(b"hello world " * 341, 4096) is None
+
+
+# ----------------------------------------------------------------------
+# the current-epoch walk every summary reader shares
+
+BS = 512
+SEG = 12  # blocks per hand-built segment
+START = 100  # the segment's first block address
+
+
+def build_segment(writes, rotted=()):
+    """Blocks by address: ``writes`` maps offset -> (seq, entries); each
+    offset in ``rotted`` has its summary block overwritten with garbage."""
+    blocks = {START + off: bytes(BS) for off in range(SEG)}
+    for off, (seq, n) in writes.items():
+        payloads = [bytes([off + i + 1]) * BS for i in range(n)]
+        blocks[START + off] = make_summary(n=n, seq=seq).pack(payloads, BS)
+        for i, payload in enumerate(payloads):
+            if off + 1 + i < SEG:
+                blocks[START + off + 1 + i] = payload
+    for off in rotted:
+        blocks[START + off] = b"\xde\xad" * (BS // 2)
+    return blocks
+
+
+EPOCH = {0: (10, 2), 3: (11, 1), 5: (12, 2)}
+
+WALK_CASES = {
+    # residue from the segment's previous life carries a lower seq
+    "stale-residue-ends-the-epoch": (
+        {0: (10, 2), 3: (11, 1), 5: (4, 2)}, (), (), None,
+        [(WRITE, 0), (WRITE, 3), (END, 5)],
+    ),
+    "residue-is-no-resume-target": (
+        {0: (10, 2), 3: (11, 1), 5: (4, 2)}, (3,), (), None,
+        [(WRITE, 0), (END, 3)],
+    ),
+    "rotted-summary-resumes-at-next-write": (
+        EPOCH, (3,), (), None,
+        [(WRITE, 0), (ROT, 3, 5), (WRITE, 5), (END, 8)],
+    ),
+    "rotted-last-summary-ends-the-log": (
+        EPOCH, (5,), (), None,
+        [(WRITE, 0), (WRITE, 3), (END, 5)],
+    ),
+    "write-at-bound-is-ahead": (
+        EPOCH, (), (), 12,
+        [(WRITE, 0), (WRITE, 3), (AHEAD, 5)],
+    ),
+    "write-beyond-bound-is-ahead": (
+        {0: (10, 2), 3: (40, 1)}, (), (), 12,
+        [(WRITE, 0), (AHEAD, 3)],
+    ),
+    "no-resume-beyond-bound": (
+        EPOCH, (3,), (), 12,
+        [(WRITE, 0), (END, 3)],
+    ),
+    "overrunning-write-ends-the-log": (
+        {0: (10, 2), 3: (11, 9)}, (), (), None,
+        [(WRITE, 0), (END, 3)],
+    ),
+    "overrunning-write-is-no-resume-target": (
+        {0: (10, 2), 10: (11, 3)}, (), (), None,
+        [(WRITE, 0), (END, 3)],
+    ),
+    "unreadable-summary-resumes-at-next-write": (
+        EPOCH, (), (3,), None,
+        [(WRITE, 0), (ROT, 3, 5), (WRITE, 5), (END, 8)],
+    ),
+    "unreadable-last-summary-ends-the-log": (
+        EPOCH, (), (5,), None,
+        [(WRITE, 0), (WRITE, 3), (END, 5)],
+    ),
+    "full-segment-runs-off-the-end": (
+        {0: (10, 5), 6: (11, 5)}, (), (), None,
+        [(WRITE, 0), (WRITE, 6)],
+    ),
+}
+
+
+def _steps(walk):
+    return [
+        (kind, offset, resume) if kind == ROT else (kind, offset)
+        for kind, offset, _, _, resume in walk
+    ]
+
+
+class TestWalkSegment:
+    @pytest.mark.parametrize(
+        "writes, rotted, unreadable, below, expected",
+        list(WALK_CASES.values()),
+        ids=list(WALK_CASES),
+    )
+    def test_walk_contract(self, writes, rotted, unreadable, below, expected):
+        blocks = build_segment(writes, rotted)
+
+        def read(addr):
+            return None if addr - START in unreadable else blocks[addr]
+
+        walk = walk_segment(read, blocks.__getitem__, START, SEG, BS, below=below)
+        assert _steps(walk) == expected
+
+    def test_write_steps_carry_the_summary_and_its_block(self):
+        blocks = build_segment(EPOCH)
+        walk = walk_segment(blocks.__getitem__, blocks.__getitem__, START, SEG, BS)
+        writes = [(summary.seq, raw) for kind, _, summary, raw, _ in walk if kind == WRITE]
+        assert writes == [(seq, blocks[START + o]) for o, (seq, _) in EPOCH.items()]
+
+    def test_trimmed_summary_block_ends_the_log(self):
+        blocks = build_segment(EPOCH)
+
+        def read(addr):
+            if addr == START + 3:
+                raise TrimmedBlockError("trimmed", addr=addr, op="read")
+            return blocks[addr]
+
+        walk = walk_segment(read, blocks.__getitem__, START, SEG, BS)
+        assert _steps(walk) == [(WRITE, 0), (END, 3)]
+
+    @pytest.mark.parametrize("stop, reads", [(None, [0, 11]), (SEG - 1, [0])])
+    def test_reads_only_candidate_summaries_below_stop(self, stop, reads):
+        """Only the blocks that could lead a write are read (the charged
+        path); the search past a failed block peeks."""
+        blocks = build_segment({0: (10, 10)})
+        seen = []
+
+        def read(addr):
+            seen.append(addr - START)
+            return blocks[addr]
+
+        list(walk_segment(read, blocks.__getitem__, START, SEG, BS, stop=stop))
+        assert seen == reads

@@ -124,3 +124,20 @@ class TestDumplog:
         dump_checkpoints(populated.disk)
         dump_segment(populated.disk, 0)
         assert populated.disk.clock.now == t
+
+    def test_segment_dump_stops_at_the_epoch_boundary(self, disk):
+        """A reused segment's residue from its previous life is not listed:
+        the dump walks the current epoch only, so its seqs strictly rise."""
+        fs = LFS.format(disk, small_config())
+        for rnd in range(12):
+            size = 9000 if rnd % 2 else 2000
+            for i in range(50):
+                fs.write_file(f"/f{i}", bytes([rnd]) * size)
+            for i in range(0, 50, 3):
+                fs.unlink(f"/f{i}")
+            fs.clean_now(fs.usage.clean_count + 3)
+        fs.checkpoint()
+        for seg in range(fs.layout.num_segments):
+            out = dump_segment(disk, seg)
+            seqs = [int(tok[4:]) for tok in out.split() if tok.startswith("seq=")]
+            assert seqs == sorted(set(seqs)), f"segment {seg}: {seqs}"
