@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import struct
 
-from repro.core.errors import CorruptionError, InvalidOperationError
+from repro.core.errors import (
+    CorruptionError,
+    FileExistsLFSError,
+    FileNotFoundLFSError,
+    InvalidOperationError,
+)
 
 _ENTRY_HEAD = struct.Struct("<QH")
 
@@ -84,3 +89,58 @@ def block_used_bytes(entries: list[tuple[str, int]]) -> int:
 def block_has_room(entries: list[tuple[str, int]], name: str, block_size: int) -> bool:
     """True if one more entry for ``name`` fits alongside ``entries``."""
     return block_used_bytes(entries) + entry_size(name) <= block_size
+
+
+class DirState:
+    """In-memory image of one directory: per-block entries plus an index.
+
+    ``insert`` and ``remove`` return the index of the one block they
+    change, which is the block the caller must write back.
+    """
+
+    def __init__(self, blocks: list[list[tuple[str, int]]]) -> None:
+        self.blocks = blocks
+        self.index: dict[str, tuple[int, int]] = {}
+        for block_idx, entries in enumerate(blocks):
+            for name, inum in entries:
+                if inum != 0:
+                    self.index[name] = (inum, block_idx)
+
+    def lookup(self, name: str) -> int | None:
+        hit = self.index.get(name)
+        return hit[0] if hit else None
+
+    def names(self) -> list[str]:
+        return sorted(self.index.keys())
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def insert(self, name: str, inum: int, block_size: int) -> int:
+        """Add an entry: the last block if it has room, else first fit."""
+        if name in self.index:
+            raise FileExistsLFSError(f"{name!r} already exists")
+        blocks = self.blocks
+        target = None
+        if blocks and block_has_room(blocks[-1], name, block_size):
+            target = len(blocks) - 1
+        else:
+            for idx, entries in enumerate(blocks):
+                if block_has_room(entries, name, block_size):
+                    target = idx
+                    break
+        if target is None:
+            blocks.append([])
+            target = len(blocks) - 1
+        blocks[target].append((name, inum))
+        self.index[name] = (inum, target)
+        return target
+
+    def remove(self, name: str) -> tuple[int, int]:
+        """Drop an entry; returns ``(inum, block index)``."""
+        hit = self.index.pop(name, None)
+        if hit is None:
+            raise FileNotFoundLFSError(f"{name!r} not found")
+        block_idx = hit[1]
+        self.blocks[block_idx] = [e for e in self.blocks[block_idx] if e[0] != name]
+        return hit

@@ -29,12 +29,10 @@ from repro.core.constants import (
     FileType,
 )
 from repro.core import directory as dirfmt
+from repro.core.directory import DirState
 from repro.core.dirlog import DirOpRecord, pack_records
 from repro.core.errors import (
     CorruptionError,
-    DirectoryNotEmptyError,
-    FileExistsLFSError,
-    FileNotFoundLFSError,
     InvalidOperationError,
     IsADirectoryError_,
     MediaError,
@@ -48,6 +46,7 @@ from repro.core.errors import (
 from repro.core.inode import Inode, inodes_per_block, pack_inode_block, unpack_inode_block
 from repro.core.inode_map import InodeMap
 from repro.core.mapping import FileMap
+from repro.core.namespace import Namespace
 from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, pack_body
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
@@ -60,22 +59,6 @@ from repro.obs.events import CACHE_FLUSH, FLASH_TRIM, FS_SYNC, NVM_FAIL
 # Shared no-op context for the untraced path: one instance, no allocation
 # per flush when observability is off.
 _NULL_CAUSE = nullcontext()
-
-
-@dataclass
-class StatResult:
-    """Metadata returned by :meth:`LFS.stat`."""
-
-    inum: int
-    ftype: FileType
-    size: int
-    nlink: int
-    mtime: float
-    version: int
-
-    @property
-    def is_directory(self) -> bool:
-        return self.ftype == FileType.DIRECTORY
 
 
 @dataclass
@@ -93,35 +76,22 @@ class LFSStats:
     ops: int = 0
 
 
-class _DirState:
-    """In-memory image of one directory: per-block entries plus an index."""
-
-    def __init__(self, blocks: list[list[tuple[str, int]]]) -> None:
-        self.blocks = blocks
-        self.index: dict[str, tuple[int, int]] = {}
-        for block_idx, entries in enumerate(blocks):
-            for name, inum in entries:
-                if inum != 0:
-                    self.index[name] = (inum, block_idx)
-
-    def lookup(self, name: str) -> int | None:
-        hit = self.index.get(name)
-        return hit[0] if hit else None
-
-    def names(self) -> list[str]:
-        return sorted(self.index.keys())
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-class LFS:
+class LFS(Namespace):
     """A log-structured file system on a simulated disk.
 
     Use :meth:`format` to create a fresh file system or :meth:`mount` to
     attach to an existing one (optionally rolling the log forward after a
     crash). Paths are ``/``-separated absolute strings.
     """
+
+    # The benchmark's per-layer tracer (perfbench/layers.py) wraps these
+    # shared calls in LFS's own class dict, so LFS binds them here.
+    mkdir = Namespace.mkdir
+    exists = Namespace.exists
+    stat = Namespace.stat
+    write_inum = Namespace.write_inum
+    read_inum = Namespace.read_inum
+    fsync = Namespace.fsync
 
     def __init__(self, disk: Disk, config: LFSConfig, layout: DiskLayout) -> None:
         self.disk = disk
@@ -144,7 +114,7 @@ class LFS:
         # superset of the maps with a dirty flag, so a flush visits only
         # these. Members leave after a successful flush or with their map.
         self._dirty_filemaps: set[int] = set()
-        self._dir_states: dict[int, _DirState] = {}
+        self._dir_states: dict[int, DirState] = {}
         self._pending_dirops: list[DirOpRecord] = []
         self._dirop_addrs: list[int] = []
         self._checkpoint_seq = 1
@@ -229,7 +199,7 @@ class LFS:
         )
         fs._inodes[ROOT_INUM] = root
         fs._dirty_inodes.add(ROOT_INUM)
-        fs._dir_states[ROOT_INUM] = _DirState([])
+        fs._dir_states[ROOT_INUM] = DirState([])
         fs.imap.get(ROOT_INUM).addr = PENDING_ADDR
         fs.imap._next_inum = ROOT_INUM + 1
         fs._mounted = True
@@ -577,66 +547,10 @@ class LFS:
         return self.filemap(inum).get(fbn)
 
     # ==================================================================
-    # path resolution
+    # storage under the shared namespace
 
-    @staticmethod
-    def _split_path(path: str) -> list[str]:
-        if not path.startswith("/"):
-            raise InvalidOperationError(f"path {path!r} must be absolute")
-        return [part for part in path.split("/") if part]
-
-    def _resolve(self, path: str) -> int:
-        """Path -> inode number; raises if any component is missing."""
-        inum = ROOT_INUM
-        for part in self._split_path(path):
-            inode = self.get_inode(inum)
-            if not inode.is_directory:
-                raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
-            child = self._dir_state(inum).lookup(part)
-            if child is None:
-                raise FileNotFoundLFSError(f"path {path!r}: component {part!r} not found")
-            inum = child
-        return inum
-
-    def _resolve_parent(self, path: str) -> tuple[int, str]:
-        """Path -> (parent directory inum, final component name)."""
-        parts = self._split_path(path)
-        if not parts:
-            raise InvalidOperationError("the root directory has no parent")
-        parent_path = "/" + "/".join(parts[:-1])
-        parent = self._resolve(parent_path)
-        if not self.get_inode(parent).is_directory:
-            raise NotADirectoryError_(f"parent of {path!r} is not a directory")
-        return parent, parts[-1]
-
-    def exists(self, path: str) -> bool:
-        """True if ``path`` names a file or directory."""
-        self._require_mounted()
-        try:
-            self._resolve(path)
-            return True
-        except (FileNotFoundLFSError, NotADirectoryError_):
-            return False
-
-    # ==================================================================
-    # directory state
-
-    def _dir_state(self, inum: int) -> _DirState:
-        state = self._dir_states.get(inum)
-        if state is not None:
-            return state
-        inode = self.get_inode(inum)
-        if not inode.is_directory:
-            raise NotADirectoryError_(f"inode {inum} is not a directory")
-        blocks: list[list[tuple[str, int]]] = []
-        for fbn in range(inode.nblocks(self.config.block_size)):
-            payload = self._read_data_block(inum, fbn)
-            blocks.append(dirfmt.parse_block(payload))
-        state = _DirState(blocks)
-        self._dir_states[inum] = state
-        return state
-
-    def _dir_write_block(self, dir_inum: int, block_idx: int, state: _DirState) -> None:
+    def _dir_block_changed(self, dir_inum: int, block_idx: int, state: DirState) -> None:
+        """Dirty the changed directory block in the cache (the next flush logs it)."""
         payload = dirfmt.pack_block(
             [e for e in state.blocks[block_idx] if e[1] != 0], self.config.block_size
         )
@@ -649,36 +563,15 @@ class LFS:
         inode.mtime = now
         self._mark_inode_dirty(dir_inum)
 
-    def _dir_insert(self, dir_inum: int, name: str, file_inum: int) -> None:
-        state = self._dir_state(dir_inum)
-        if state.lookup(name) is not None:
-            raise FileExistsLFSError(f"{name!r} already exists")
-        target = None
-        if state.blocks and dirfmt.block_has_room(
-            state.blocks[-1], name, self.config.block_size
-        ):
-            target = len(state.blocks) - 1
-        else:
-            for idx, entries in enumerate(state.blocks):
-                if dirfmt.block_has_room(entries, name, self.config.block_size):
-                    target = idx
-                    break
-        if target is None:
-            state.blocks.append([])
-            target = len(state.blocks) - 1
-        state.blocks[target].append((name, file_inum))
-        state.index[name] = (file_inum, target)
-        self._dir_write_block(dir_inum, target, state)
+    def _block_written(self, inum: int, fbn: int, start: int, end: int) -> None:
+        """Dirty the file's inode and note the range for NVM staging."""
+        self._dirty_inodes.add(inum)
+        if self.nvram is not None:
+            self._nvm_note_range(inum, fbn, start, end)
 
-    def _dir_remove(self, dir_inum: int, name: str) -> int:
-        state = self._dir_state(dir_inum)
-        hit = state.index.pop(name, None)
-        if hit is None:
-            raise FileNotFoundLFSError(f"{name!r} not found")
-        inum, block_idx = hit
-        state.blocks[block_idx] = [e for e in state.blocks[block_idx] if e[0] != name]
-        self._dir_write_block(dir_inum, block_idx, state)
-        return inum
+    def _accessed(self, inum: int) -> None:
+        """Stamp the last-access time the inode map keeps (Table 1)."""
+        self.imap.set_atime(inum, self.disk.clock.now)
 
     # ==================================================================
     # data block access
@@ -702,10 +595,7 @@ class LFS:
     def create(self, path: str, *, ftype: FileType = FileType.REGULAR) -> int:
         """Create an empty file (or directory); returns the inode number."""
         self._require_writable()
-        parent, name = self._resolve_parent(path)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{path!r} already exists")
+        parent, name = self._new_entry(path)
         inum = self.imap.allocate()
         now = self.disk.clock.now
         inode = Inode(
@@ -721,7 +611,7 @@ class LFS:
         self.imap.get(inum).addr = PENDING_ADDR
         self.imap._dirty_blocks.add(self.imap.block_of(inum))
         if ftype == FileType.DIRECTORY:
-            self._dir_states[inum] = _DirState([])
+            self._dir_states[inum] = DirState([])
         self._pending_dirops.append(
             DirOpRecord(op=DirOp.CREATE, file_inum=inum, refcount=1, dir1=parent, name1=name)
         )
@@ -730,98 +620,10 @@ class LFS:
         self._after_op()
         return inum
 
-    def mkdir(self, path: str) -> int:
-        """Create a directory."""
-        return self.create(path, ftype=FileType.DIRECTORY)
-
-    def write(self, path: str, data: bytes, offset: int = 0) -> None:
-        """Write ``data`` at ``offset``, extending the file as needed."""
-        self._require_mounted()
-        inum = self._resolve(path)
-        self.write_inum(inum, data, offset)
-
-    def write_inum(self, inum: int, data: bytes, offset: int = 0) -> None:
-        """Write by inode number (avoids path resolution in benchmarks)."""
-        self._require_writable()
-        if offset < 0:
-            raise InvalidOperationError("negative offset")
-        inode = self.get_inode(inum)
-        if inode.is_directory:
-            raise IsADirectoryError_(f"inode {inum} is a directory")
-        if not data:
-            return
-        bs = self.config.block_size
-        now = self.disk.clock.now
-        end = offset + len(data)
-        pos = offset
-        track = self.nvram is not None
-        while pos < end:
-            fbn = pos // bs
-            block_off = pos % bs
-            take = min(bs - block_off, end - pos)
-            if take == bs:
-                payload = bytes(data[pos - offset : pos - offset + bs])
-            else:
-                base = bytearray(self._read_data_block(inum, fbn))
-                base[block_off : block_off + take] = data[pos - offset : pos - offset + take]
-                payload = bytes(base)
-            self.cache.write(inum, fbn, payload, now)
-            if track:
-                self._nvm_note_range(inum, fbn, block_off, block_off + take)
-            pos += take
-        if end > inode.size:
-            inode.size = end
-        inode.mtime = now
-        self._mark_inode_dirty(inum)
-        self.stats.writes += 1
-        self._after_op()
-
     def append(self, path: str, data: bytes) -> None:
         """Append ``data`` to the end of the file."""
         inum = self._resolve(path)
         self.write_inum(inum, data, self.get_inode(inum).size)
-
-    def write_file(self, path: str, data: bytes) -> int:
-        """Create (if needed) and write a whole file; returns the inum."""
-        self._require_mounted()
-        if self.exists(path):
-            inum = self._resolve(path)
-            self.truncate(path, 0)
-        else:
-            inum = self.create(path)
-        self.write_inum(inum, data)
-        return inum
-
-    def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
-        """Read ``length`` bytes (default: to EOF) starting at ``offset``."""
-        self._require_mounted()
-        return self.read_inum(self._resolve(path), offset, length)
-
-    def read_inum(self, inum: int, offset: int = 0, length: int | None = None) -> bytes:
-        """Read by inode number."""
-        self._require_mounted()
-        if offset < 0:
-            raise InvalidOperationError("negative offset")
-        inode = self.get_inode(inum)
-        if length is None:
-            length = max(0, inode.size - offset)
-        end = min(offset + length, inode.size)
-        if end <= offset:
-            return b""
-        bs = self.config.block_size
-        chunks = []
-        pos = offset
-        while pos < end:
-            fbn = pos // bs
-            block_off = pos % bs
-            take = min(bs - block_off, end - pos)
-            payload = self._read_data_block(inum, fbn)
-            chunks.append(payload[block_off : block_off + take])
-            pos += take
-        self.imap.set_atime(inum, self.disk.clock.now)
-        self.stats.reads += 1
-        self._after_op()
-        return b"".join(chunks)
 
     def truncate(self, path: str, size: int = 0) -> None:
         """Shrink a file; truncating to zero bumps the uid version."""
@@ -852,14 +654,7 @@ class LFS:
     def unlink(self, path: str) -> None:
         """Remove a directory entry; frees the file when nlink hits zero."""
         self._require_writable()
-        parent, name = self._resolve_parent(path)
-        inum = self._dir_state(parent).lookup(name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{path!r} not found")
-        inode = self.get_inode(inum)
-        if inode.is_directory:
-            if len(self._dir_state(inum)) != 0:
-                raise DirectoryNotEmptyError(f"{path!r} is not empty")
+        parent, name, inum, inode = self._removable_entry(path)
         self._pending_dirops.append(
             DirOpRecord(
                 op=DirOp.UNLINK,
@@ -896,10 +691,7 @@ class LFS:
         inode = self.get_inode(inum)
         if inode.is_directory:
             raise IsADirectoryError_("cannot hard-link a directory")
-        parent, name = self._resolve_parent(newpath)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{newpath!r} already exists")
+        parent, name = self._new_entry(newpath)
         self._pending_dirops.append(
             DirOpRecord(
                 op=DirOp.LINK,
@@ -917,20 +709,12 @@ class LFS:
     def rename(self, oldpath: str, newpath: str) -> None:
         """Atomically move a file or directory (Section 4.2)."""
         self._require_writable()
-        old_parent, old_name = self._resolve_parent(oldpath)
-        new_parent, new_name = self._resolve_parent(newpath)
-        dirfmt.validate_name(new_name)
-        inum = self._dir_state(old_parent).lookup(old_name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{oldpath!r} not found")
-        displaced = self._dir_state(new_parent).lookup(new_name)
-        if displaced == inum:
+        move = self._rename_entries(oldpath, newpath)
+        if move is None:
             return
-        inode = self.get_inode(inum)
+        old_parent, old_name, new_parent, new_name, inum, displaced = move
         if displaced is not None:
             victim = self.get_inode(displaced)
-            if victim.is_directory and len(self._dir_state(displaced)):
-                raise DirectoryNotEmptyError(f"{newpath!r} is not empty")
             self._pending_dirops.append(
                 DirOpRecord(
                     op=DirOp.UNLINK,
@@ -944,7 +728,7 @@ class LFS:
             DirOpRecord(
                 op=DirOp.RENAME,
                 file_inum=inum,
-                refcount=inode.nlink,
+                refcount=self.get_inode(inum).nlink,
                 dir1=old_parent,
                 name1=old_name,
                 dir2=new_parent,
@@ -952,7 +736,6 @@ class LFS:
             )
         )
         if displaced is not None:
-            victim = self.get_inode(displaced)
             self._dir_remove(new_parent, new_name)
             victim.nlink -= 1
             if victim.nlink <= 0:
@@ -963,28 +746,6 @@ class LFS:
         self._dir_insert(new_parent, new_name, inum)
         self.stats.renames += 1
         self._after_op()
-
-    def readdir(self, path: str) -> list[str]:
-        """Names in a directory, sorted."""
-        self._require_mounted()
-        inum = self._resolve(path)
-        if not self.get_inode(inum).is_directory:
-            raise NotADirectoryError_(f"{path!r} is not a directory")
-        return self._dir_state(inum).names()
-
-    def stat(self, path: str) -> StatResult:
-        """Attributes of a file or directory."""
-        self._require_mounted()
-        inum = self._resolve(path)
-        inode = self.get_inode(inum)
-        return StatResult(
-            inum=inum,
-            ftype=inode.ftype,
-            size=inode.size,
-            nlink=inode.nlink,
-            mtime=inode.mtime,
-            version=inode.version,
-        )
 
     def _free_inode(self, inum: int) -> None:
         """Release an inode and every block it owns."""
@@ -1301,21 +1062,6 @@ class LFS:
                 bytes=staged_bytes or 0,
                 unstaged_dirty=self._nvm_uncovered(staged=staged_bytes is not None),
             )
-
-    def fsync(self, path: str) -> None:
-        """fsync(2): make ``path``'s acknowledged state durable.
-
-        The path is resolved first (fsync on a deleted file is an error,
-        mirroring the VFS's closed-handle check), then the call provides
-        the same durability as :meth:`sync`. The staging record — or the
-        fallback flush — absorbs the *whole* pending set rather than one
-        file's slice: the point of the staging log (and of the log
-        itself) is batching, and the crash oracle treats fsync as a full
-        barrier, so over-delivering keeps both domains simple and sound.
-        """
-        self._require_mounted()
-        self._resolve(path)
-        self.sync()
 
     def checkpoint(self) -> None:
         """Two-phase checkpoint (Section 4.1).

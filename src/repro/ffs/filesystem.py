@@ -22,19 +22,20 @@ from dataclasses import dataclass
 from repro.core import directory as dirfmt
 from repro.core.cache import BlockCache
 from repro.core.constants import NULL_ADDR, ROOT_INUM, FileType
-from repro.core.errors import (
-    DirectoryNotEmptyError,
-    FileExistsLFSError,
-    FileNotFoundLFSError,
-    InvalidOperationError,
-    IsADirectoryError_,
-    NotADirectoryError_,
-)
+from repro.core.directory import DirState
+from repro.core.errors import FileNotFoundLFSError, InvalidOperationError, IsADirectoryError_
 from repro.core.inode import Inode, pack_inode_block
 from repro.core.mapping import FileMap
+from repro.core.namespace import Namespace
 from repro.disk.device import Disk
 from repro.ffs.allocator import BitmapAllocator, InodeAllocator
 from repro.ffs.layout import FFSLayout, compute_ffs_layout
+
+#: dirty data blocks buffered before the asynchronous writer pushes them out
+WRITE_BUFFER_BLOCKS = 64
+
+#: blocks fetched per streamed read when access is sequential
+READAHEAD_BLOCKS = 8
 
 
 @dataclass
@@ -45,15 +46,6 @@ class FFSConfig:
         block_size: bytes per block (the paper's SunOS used 8 KB).
         max_inodes: inode table capacity.
         num_groups: cylinder groups.
-        write_buffer_blocks: dirty data blocks buffered before the
-            asynchronous writer pushes them out one at a time.
-        sync_metadata: write metadata synchronously (the behavior the
-            paper blames for small-file slowness). Setting this False
-            models a delayed-metadata variant for ablations.
-        double_inode_writes: write each new file's inode twice "to ease
-            recovery from crashes" (Figure 1's caption).
-        readahead_blocks: blocks fetched per streamed read when access is
-            sequential.
         cache_blocks: file-cache capacity in blocks.
         write_clustering: stream contiguous dirty runs as single requests,
             like the extent-based SunOS the paper cites ("a newer version
@@ -66,10 +58,6 @@ class FFSConfig:
     block_size: int = 8192
     max_inodes: int = 32768
     num_groups: int = 16
-    write_buffer_blocks: int = 64
-    sync_metadata: bool = True
-    double_inode_writes: bool = True
-    readahead_blocks: int = 8
     cache_blocks: int = 3072
     write_clustering: bool = False
 
@@ -87,29 +75,7 @@ class FFSStats:
     ops: int = 0
 
 
-class _DirState:
-    """In-memory image of one directory (same shape as the LFS one)."""
-
-    def __init__(self, blocks: list[list[tuple[str, int]]]) -> None:
-        self.blocks = blocks
-        self.index: dict[str, tuple[int, int]] = {}
-        for block_idx, entries in enumerate(blocks):
-            for name, inum in entries:
-                if inum != 0:
-                    self.index[name] = (inum, block_idx)
-
-    def lookup(self, name: str) -> int | None:
-        hit = self.index.get(name)
-        return hit[0] if hit else None
-
-    def names(self) -> list[str]:
-        return sorted(self.index.keys())
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-class FFS:
+class FFS(Namespace):
     """A Unix FFS-style file system on a simulated disk."""
 
     def __init__(self, disk: Disk, config: FFSConfig | None = None) -> None:
@@ -134,7 +100,7 @@ class FFS:
         self.obs = None
         self._inodes: dict[int, Inode] = {}
         self._filemaps: dict[int, FileMap] = {}
-        self._dir_states: dict[int, _DirState] = {}
+        self._dir_states: dict[int, DirState] = {}
         self._dirty_data: set[tuple[int, int]] = set()
         self._last_read: dict[int, int] = {}  # inum -> last fbn (read-ahead)
 
@@ -155,7 +121,7 @@ class FFS:
         root = Inode(inum=ROOT_INUM, ftype=FileType.DIRECTORY, mtime=now, ctime=now)
         fs._inodes[ROOT_INUM] = root
         fs.inode_alloc.mark_used(ROOT_INUM)
-        fs._dir_states[ROOT_INUM] = _DirState([])
+        fs._dir_states[ROOT_INUM] = DirState([])
         fs._write_inode_sync(root)
         return fs
 
@@ -166,8 +132,7 @@ class FFS:
         """Synchronously write the table block holding ``inode``."""
         block_addr, _ = self.layout.inode_addr(inode.inum)
         payload = self._pack_inode_table_block(block_addr)
-        repeats = 2 if (twice and self.config.double_inode_writes) else 1
-        for _ in range(repeats):
+        for _ in range(2 if twice else 1):
             self.disk.write_block(block_addr, payload, force_latency=True)
             self.stats.sync_metadata_writes += 1
 
@@ -188,12 +153,13 @@ class FFS:
                 present.append(self._inodes[inum])
         return pack_inode_block(present, self.config.block_size)
 
-    def _write_dir_block_sync(self, dir_inum: int, block_idx: int, state: _DirState) -> None:
-        """Synchronously write one directory data block."""
+    def _dir_block_changed(self, dir_inum: int, block_idx: int, state: DirState) -> None:
+        """Synchronously write one directory block, then the directory's inode."""
+        inode = self.get_inode(dir_inum)
+        inode.mtime = self.disk.clock.now
         fmap = self._filemap(dir_inum)
         addr = fmap.get(block_idx)
         if addr == NULL_ADDR:
-            inode = self._inodes[dir_inum]
             goal = self.layout.group_data_start(self.layout.group_for_inode(dir_inum))
             addr = self.allocator.allocate_near(goal)
             fmap.set(block_idx, addr)
@@ -206,11 +172,21 @@ class FFS:
         self.disk.write_block(addr, payload, force_latency=True)
         self.stats.sync_metadata_writes += 1
         self.cache.insert_clean(dir_inum, block_idx, payload, self.disk.clock.now)
+        self._write_inode_sync(inode)
+
+    def _block_written(self, inum: int, fbn: int, start: int, end: int) -> None:
+        """Queue a written block for the asynchronous per-block writer."""
+        self._dirty_data.add((inum, fbn))
+
+    def _after_op(self) -> None:
+        self.stats.ops += 1
+        if len(self._dirty_data) >= WRITE_BUFFER_BLOCKS:
+            self._flush_data()
 
     def _filemap(self, inum: int) -> FileMap:
         fmap = self._filemaps.get(inum)
         if fmap is None:
-            inode = self._get_inode(inum)
+            inode = self.get_inode(inum)
             fmap = FileMap(
                 inode,
                 self.config.block_size,
@@ -220,151 +196,29 @@ class FFS:
             self._filemaps[inum] = fmap
         return fmap
 
-    def _get_inode(self, inum: int) -> Inode:
+    def get_inode(self, inum: int) -> Inode:
+        """An allocated inode (FFS keeps every inode in memory)."""
         inode = self._inodes.get(inum)
         if inode is None:
             raise FileNotFoundLFSError(f"inode {inum} is not allocated")
         return inode
 
     # ==================================================================
-    # path resolution and directories (mirrors the LFS facade)
-
-    @staticmethod
-    def _split_path(path: str) -> list[str]:
-        if not path.startswith("/"):
-            raise InvalidOperationError(f"path {path!r} must be absolute")
-        return [part for part in path.split("/") if part]
-
-    def _resolve(self, path: str) -> int:
-        inum = ROOT_INUM
-        for part in self._split_path(path):
-            inode = self._get_inode(inum)
-            if not inode.is_directory:
-                raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
-            child = self._dir_state(inum).lookup(part)
-            if child is None:
-                raise FileNotFoundLFSError(f"path {path!r}: component {part!r} not found")
-            inum = child
-        return inum
-
-    def _resolve_parent(self, path: str) -> tuple[int, str]:
-        parts = self._split_path(path)
-        if not parts:
-            raise InvalidOperationError("the root directory has no parent")
-        parent = self._resolve("/" + "/".join(parts[:-1]))
-        if not self._get_inode(parent).is_directory:
-            raise NotADirectoryError_(f"parent of {path!r} is not a directory")
-        return parent, parts[-1]
-
-    def _dir_state(self, inum: int) -> _DirState:
-        state = self._dir_states.get(inum)
-        if state is not None:
-            return state
-        inode = self._get_inode(inum)
-        blocks = []
-        for fbn in range(inode.nblocks(self.config.block_size)):
-            blocks.append(dirfmt.parse_block(self._read_data_block(inum, fbn)))
-        state = _DirState(blocks)
-        self._dir_states[inum] = state
-        return state
-
-    def exists(self, path: str) -> bool:
-        """True if ``path`` names a file or directory."""
-        try:
-            self._resolve(path)
-            return True
-        except (FileNotFoundLFSError, NotADirectoryError_):
-            return False
-
-    # ==================================================================
     # operations
 
     def create(self, path: str, *, ftype: FileType = FileType.REGULAR) -> int:
         """Create a file: the paper's five-synchronous-I/O pattern."""
-        parent, name = self._resolve_parent(path)
-        dirfmt.validate_name(name)
-        state = self._dir_state(parent)
-        if state.lookup(name) is not None:
-            raise FileExistsLFSError(f"{path!r} already exists")
+        parent, name = self._new_entry(path)
         inum = self.inode_alloc.allocate(self.layout.group_for_inode(parent))
         now = self.disk.clock.now
         inode = Inode(inum=inum, ftype=ftype, mtime=now, ctime=now)
         self._inodes[inum] = inode
         if ftype == FileType.DIRECTORY:
-            self._dir_states[inum] = _DirState([])
-
-        # directory entry
-        target = None
-        for idx, entries in enumerate(state.blocks):
-            if dirfmt.block_has_room(entries, name, self.config.block_size):
-                target = idx
-                break
-        if target is None:
-            state.blocks.append([])
-            target = len(state.blocks) - 1
-        state.blocks[target].append((name, inum))
-        state.index[name] = (inum, target)
-
-        parent_inode = self._get_inode(parent)
-        parent_inode.mtime = now
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode, twice=True)  # new file's inode, twice
-            self._write_dir_block_sync(parent, target, state)  # directory data
-            self._write_inode_sync(parent_inode)  # directory's inode
+            self._dir_states[inum] = DirState([])
+        self._write_inode_sync(inode, twice=True)  # new file's inode, twice
+        self._dir_insert(parent, name, inum)  # directory data, then its inode
         self.stats.creates += 1
-        self.stats.ops += 1
-        return inum
-
-    def mkdir(self, path: str) -> int:
-        """Create a directory."""
-        return self.create(path, ftype=FileType.DIRECTORY)
-
-    def write(self, path: str, data: bytes, offset: int = 0) -> None:
-        """Write data at an offset (buffered, asynchronous per-block I/O)."""
-        self.write_inum(self._resolve(path), data, offset)
-
-    def write_inum(self, inum: int, data: bytes, offset: int = 0) -> None:
-        """Write by inode number."""
-        if offset < 0:
-            raise InvalidOperationError("negative offset")
-        inode = self._get_inode(inum)
-        if inode.is_directory:
-            raise IsADirectoryError_(f"inode {inum} is a directory")
-        if not data:
-            return
-        bs = self.config.block_size
-        now = self.disk.clock.now
-        end = offset + len(data)
-        pos = offset
-        while pos < end:
-            fbn = pos // bs
-            block_off = pos % bs
-            take = min(bs - block_off, end - pos)
-            if take == bs:
-                payload = bytes(data[pos - offset : pos - offset + bs])
-            else:
-                base = bytearray(self._read_data_block(inum, fbn))
-                base[block_off : block_off + take] = data[pos - offset : pos - offset + take]
-                payload = bytes(base)
-            self.cache.write(inum, fbn, payload, now)
-            self._dirty_data.add((inum, fbn))
-            pos += take
-        if end > inode.size:
-            inode.size = end
-        inode.mtime = now
-        self.stats.writes += 1
-        self.stats.ops += 1
-        if len(self._dirty_data) >= self.config.write_buffer_blocks:
-            self._flush_data()
-
-    def write_file(self, path: str, data: bytes) -> int:
-        """Create (or truncate) and write a whole file."""
-        if self.exists(path):
-            inum = self._resolve(path)
-            self.truncate(path, 0)
-        else:
-            inum = self.create(path)
-        self.write_inum(inum, data)
+        self._after_op()
         return inum
 
     def _flush_data(self) -> None:
@@ -476,13 +330,13 @@ class FFS:
         # Read-ahead: when access looks sequential, stream a cluster.
         sequential = self._last_read.get(inum) == fbn - 1
         self._last_read[inum] = fbn
-        if sequential and self.config.readahead_blocks > 1:
-            inode = self._get_inode(inum)
+        if sequential:
+            inode = self.get_inode(inum)
             nblocks = inode.nblocks(self.config.block_size)
             run = [addr]
             next_fbn = fbn + 1
             while (
-                len(run) < self.config.readahead_blocks
+                len(run) < READAHEAD_BLOCKS
                 and next_fbn < nblocks
                 and fmap.get(next_fbn) == run[-1] + 1
                 and not self.cache.contains(inum, next_fbn)
@@ -497,36 +351,10 @@ class FFS:
         self.cache.insert_clean(inum, fbn, payload)
         return payload
 
-    def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
-        """Read bytes from a file."""
-        return self.read_inum(self._resolve(path), offset, length)
-
-    def read_inum(self, inum: int, offset: int = 0, length: int | None = None) -> bytes:
-        """Read by inode number."""
-        inode = self._get_inode(inum)
-        if length is None:
-            length = max(0, inode.size - offset)
-        end = min(offset + length, inode.size)
-        if end <= offset:
-            return b""
-        bs = self.config.block_size
-        chunks = []
-        pos = offset
-        while pos < end:
-            fbn = pos // bs
-            block_off = pos % bs
-            take = min(bs - block_off, end - pos)
-            payload = self._read_data_block(inum, fbn)
-            chunks.append(payload[block_off : block_off + take])
-            pos += take
-        self.stats.reads += 1
-        self.stats.ops += 1
-        return b"".join(chunks)
-
     def truncate(self, path: str, size: int = 0) -> None:
         """Shrink a file, freeing its blocks back to the bitmap."""
         inum = self._resolve(path)
-        inode = self._get_inode(inum)
+        inode = self.get_inode(inum)
         if inode.is_directory:
             raise IsADirectoryError_(f"{path!r} is a directory")
         if size < 0 or size > inode.size:
@@ -542,46 +370,12 @@ class FFS:
         self._dirty_data = {(i, f) for (i, f) in self._dirty_data if i != inum or f < first_dead}
         inode.size = size
         inode.mtime = self.disk.clock.now
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode)
-        self.stats.ops += 1
-
-    def _dir_insert_sync(self, parent: int, name: str, inum: int) -> None:
-        """Add a directory entry with the synchronous write pattern."""
-        state = self._dir_state(parent)
-        target = None
-        for idx, entries in enumerate(state.blocks):
-            if dirfmt.block_has_room(entries, name, self.config.block_size):
-                target = idx
-                break
-        if target is None:
-            state.blocks.append([])
-            target = len(state.blocks) - 1
-        state.blocks[target].append((name, inum))
-        state.index[name] = (inum, target)
-        parent_inode = self._get_inode(parent)
-        parent_inode.mtime = self.disk.clock.now
-        if self.config.sync_metadata:
-            self._write_dir_block_sync(parent, target, state)
-            self._write_inode_sync(parent_inode)
-
-    def _dir_remove_sync(self, parent: int, name: str) -> int:
-        """Remove a directory entry with the synchronous write pattern."""
-        state = self._dir_state(parent)
-        hit = state.index.get(name)
-        if hit is None:
-            raise FileNotFoundLFSError(f"{name!r} not found")
-        inum, block_idx = hit
-        del state.index[name]
-        state.blocks[block_idx] = [e for e in state.blocks[block_idx] if e[0] != name]
-        if self.config.sync_metadata:
-            self._write_dir_block_sync(parent, block_idx, state)
-            self._write_inode_sync(self._get_inode(parent))
-        return inum
+        self._write_inode_sync(inode)
+        self._after_op()
 
     def _drop_inode(self, inum: int) -> None:
         """Free an inode and everything it owns (link count reached zero)."""
-        inode = self._get_inode(inum)
+        inode = self.get_inode(inum)
         fmap = self._filemap(inum)
         for _, addr in fmap.all_block_addrs(inode.nblocks(self.config.block_size)):
             self.allocator.free(addr)
@@ -594,86 +388,42 @@ class FFS:
 
     def unlink(self, path: str) -> None:
         """Remove a directory entry: synchronous metadata updates."""
-        parent, name = self._resolve_parent(path)
-        state = self._dir_state(parent)
-        hit = state.index.get(name)
-        if hit is None:
-            raise FileNotFoundLFSError(f"{path!r} not found")
-        inum, _ = hit
-        inode = self._get_inode(inum)
-        if inode.is_directory and len(self._dir_state(inum)):
-            raise DirectoryNotEmptyError(f"{path!r} is not empty")
-        self._dir_remove_sync(parent, name)
+        parent, name, inum, inode = self._removable_entry(path)
+        self._dir_remove(parent, name)
         inode.nlink -= 1
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode)  # updated link count
+        self._write_inode_sync(inode)  # updated link count
         if inode.nlink <= 0:
             self._drop_inode(inum)
         self.stats.deletes += 1
-        self.stats.ops += 1
+        self._after_op()
 
     def link(self, existing: str, newpath: str) -> None:
         """Create a hard link to a regular file."""
         inum = self._resolve(existing)
-        inode = self._get_inode(inum)
+        inode = self.get_inode(inum)
         if inode.is_directory:
-            from repro.core.errors import IsADirectoryError_ as _IsDir
-
-            raise _IsDir("cannot hard-link a directory")
-        parent, name = self._resolve_parent(newpath)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{newpath!r} already exists")
-        self._dir_insert_sync(parent, name, inum)
+            raise IsADirectoryError_("cannot hard-link a directory")
+        parent, name = self._new_entry(newpath)
+        self._dir_insert(parent, name, inum)
         inode.nlink += 1
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode)
-        self.stats.ops += 1
+        self._write_inode_sync(inode)
+        self._after_op()
 
     def rename(self, oldpath: str, newpath: str) -> None:
         """Move a file or directory (synchronous directory updates)."""
-        old_parent, old_name = self._resolve_parent(oldpath)
-        new_parent, new_name = self._resolve_parent(newpath)
-        dirfmt.validate_name(new_name)
-        inum = self._dir_state(old_parent).lookup(old_name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{oldpath!r} not found")
-        displaced = self._dir_state(new_parent).lookup(new_name)
-        if displaced == inum:
+        move = self._rename_entries(oldpath, newpath)
+        if move is None:
             return
+        old_parent, old_name, new_parent, new_name, inum, displaced = move
         if displaced is not None:
-            victim = self._get_inode(displaced)
-            if victim.is_directory and len(self._dir_state(displaced)):
-                raise DirectoryNotEmptyError(f"{newpath!r} is not empty")
-            self._dir_remove_sync(new_parent, new_name)
+            victim = self.get_inode(displaced)
+            self._dir_remove(new_parent, new_name)
             victim.nlink -= 1
             if victim.nlink <= 0:
                 self._drop_inode(displaced)
-        self._dir_remove_sync(old_parent, old_name)
-        self._dir_insert_sync(new_parent, new_name, inum)
-        self.stats.ops += 1
-
-    def readdir(self, path: str) -> list[str]:
-        """Names in a directory, sorted."""
-        inum = self._resolve(path)
-        if not self._get_inode(inum).is_directory:
-            raise NotADirectoryError_(f"{path!r} is not a directory")
-        return self._dir_state(inum).names()
-
-    def stat(self, path: str):
-        """Attributes of a file or directory (LFS-compatible shape)."""
-        from repro.core.filesystem import StatResult
-
-        inum = self._resolve(path)
-        inode = self._get_inode(inum)
-        return StatResult(
-            inum=inum,
-            ftype=inode.ftype,
-            size=inode.size,
-            nlink=inode.nlink,
-            mtime=inode.mtime,
-            version=0,
-        )
+        self._dir_remove(old_parent, old_name)
+        self._dir_insert(new_parent, new_name, inum)
+        self._after_op()
 
     def sync(self) -> None:
         """Flush all buffered data."""

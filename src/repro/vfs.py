@@ -116,8 +116,7 @@ class FileHandle:
     def flush(self) -> None:
         """Push buffered writes into the log (fsync-ish)."""
         self._check_open()
-        if hasattr(self._fs, "sync"):
-            self._fs.sync()
+        self._fs.sync()
 
     def fsync(self) -> None:
         """Make this file's writes durable before returning.
@@ -130,10 +129,7 @@ class FileHandle:
         other I/O — fsync-after-close is a lifetime bug, not a no-op.
         """
         self._check_open()
-        if hasattr(self._fs, "fsync"):
-            self._fs.fsync(self.path)
-        elif hasattr(self._fs, "sync"):
-            self._fs.sync()
+        self._fs.fsync(self.path)
 
     def close(self) -> None:
         """Invalidate the handle; closing twice is a usage bug."""

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.core.errors import FileNotFoundLFSError, InvalidOperationError
+from repro.core.errors import (
+    FileNotFoundLFSError,
+    InvalidOperationError,
+    IsADirectoryError_,
+    NotADirectoryError_,
+)
 from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.ffs.filesystem import FFS, FFSConfig
+from repro.tools.lfsck import check_filesystem
 from repro.vfs import FileSystemView
 
 from tests.conftest import small_config
@@ -178,3 +184,41 @@ class TestViewHelpers:
         assert vfs.listdir("/d") == ["y"]
         vfs.remove("/d/y")
         assert vfs.listdir("/d") == []
+
+
+class TestRenameChecks:
+    """rename(2)'s refusals, which both file systems share."""
+
+    def _tree(self, vfs):
+        vfs.mkdir("/a")
+        vfs.mkdir("/a/b")
+        with vfs.open("/a/b/data", "w") as fh:
+            fh.write(b"kept")
+
+    def test_directory_into_own_subtree_rejected(self, vfs):
+        self._tree(vfs)
+        with pytest.raises(InvalidOperationError):
+            vfs.rename("/a", "/a/b/c")
+        assert vfs.listdir("/") == ["a"]
+        with vfs.open("/a/b/data") as fh:
+            assert fh.read() == b"kept"
+
+    def test_subtree_rename_leaves_lfs_image_clean(self):
+        vfs = make_lfs_view()
+        self._tree(vfs)
+        with pytest.raises(InvalidOperationError):
+            vfs.rename("/a", "/a/b/c")
+        vfs.fs.unmount()
+        report = check_filesystem(vfs.fs.disk)
+        assert report.ok, report.errors
+
+    def test_file_and_directory_do_not_replace_each_other(self, vfs):
+        vfs.mkdir("/d")
+        vfs.open("/f", "w").close()
+        with pytest.raises(IsADirectoryError_):
+            vfs.rename("/f", "/d")
+        with pytest.raises(NotADirectoryError_):
+            vfs.rename("/d", "/f")
+        assert vfs.listdir("/") == ["d", "f"]
+        assert vfs.fs.stat("/d").is_directory
+        assert not vfs.fs.stat("/f").is_directory
